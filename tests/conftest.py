@@ -3,6 +3,9 @@ tests fast while still exercising multi-block / multi-zone behaviour."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.flash import (
@@ -54,3 +57,21 @@ def make_payload(length: int, tag: int) -> bytes:
     unit = bytes([tag % 256]) * 64
     reps = -(-length // len(unit))
     return (unit * reps)[:length]
+
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+def assert_golden_rows(name: str, rows) -> None:
+    """``rows`` must equal ``goldens/<name>.json`` exactly.
+
+    A golden file is ``[list(row.items()) for row in rows]`` as JSON, so
+    it pins row order, key order and every value (floats round-trip
+    through their repr).  Regenerate one only for an intended physics
+    change, with ``json.dump([list(r.items()) for r in rows], f)``.
+    """
+    want = json.loads((GOLDENS / f"{name}.json").read_text())
+    got = json.loads(json.dumps([list(row.items()) for row in rows]))
+    assert len(got) == len(want), f"{name}: {len(got)} rows, golden has {len(want)}"
+    for index, (row, golden) in enumerate(zip(got, want)):
+        assert row == golden, f"{name} row {index} differs from its golden"

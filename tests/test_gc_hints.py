@@ -57,6 +57,7 @@ from repro.sim import SimClock
 from repro.sim.io import IoTracer
 from repro.units import KIB, MIB
 from repro.workloads.cachebench import CacheBenchConfig
+from tests.conftest import assert_golden_rows
 
 PAGE = 4 * KIB
 
@@ -580,6 +581,5 @@ class TestHintSweep:
         from repro.bench.experiments import run_hint_smoke
 
         first = run_hint_smoke()
-        second = run_hint_smoke()
-        assert first == second
+        assert_golden_rows("hint-sweep_smoke", first)
         assert {r["hints"] for r in first} == {"off", "ztl", "full"}

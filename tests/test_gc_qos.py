@@ -40,6 +40,7 @@ from repro.serve import (
 )
 from repro.units import KIB, SEC
 from repro.workloads.cachebench import CacheBenchConfig
+from tests.conftest import assert_golden_rows
 
 
 # --------------------------------------------------------------------------
@@ -463,6 +464,4 @@ class TestGcQosSmoke:
                 assert row["gc_pace_adjustments"] == 0
 
     def test_deterministic(self, smoke_rows):
-        from repro.bench.experiments import run_gc_qos_smoke
-
-        assert run_gc_qos_smoke() == smoke_rows
+        assert_golden_rows("gc-qos_smoke", smoke_rows)

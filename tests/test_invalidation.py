@@ -33,6 +33,7 @@ from repro.serve import (
 )
 from repro.units import KIB, MSEC
 from repro.workloads import CacheBenchConfig
+from tests.conftest import assert_golden_rows
 
 SMALL = SchemeScale(
     zone_size=256 * KIB,
@@ -336,8 +337,7 @@ class TestServerIntegration:
 class TestInvalidationSmokeGolden:
     def test_smoke_deterministic_and_shaped(self):
         rows_a = run_invalidation_smoke()
-        rows_b = run_invalidation_smoke()
-        assert rows_a == rows_b
+        assert_golden_rows("invalidate_smoke", rows_a)
         assert [r["scheme"] for r in rows_a] == [
             "Region-Cache",
             "Zone-Cache",

@@ -43,6 +43,7 @@ from repro.sim.io import IoTracer
 from repro.units import KIB, MIB
 from repro.ztl.gc import GcConfig
 from repro.ztl.layer import RegionTranslationLayer, ZtlConfig
+from tests.conftest import assert_golden_rows
 
 PAGE = 4 * KIB
 
@@ -603,6 +604,15 @@ class TestGcColumnFamily:
 # --------------------------------------------------------------------------
 
 class TestGcAblation:
+    @pytest.mark.slow
+    def test_smoke_golden(self):
+        from repro.bench.experiments import run_gc_smoke
+
+        rows = run_gc_smoke()
+        assert_golden_rows("gc-sweep_smoke", rows)
+        for row in rows:
+            assert row["reclaim_traced_bytes"] == row["gc_copied_bytes"]
+
     @pytest.mark.slow
     def test_sweep_rows_with_full_attribution(self):
         from repro.bench.experiments import run_gc_ablation

@@ -31,6 +31,7 @@ from repro.serve import (
 from repro.units import KIB, MSEC
 from repro.workloads import CacheBenchConfig
 from repro.workloads.cachebench import KIND_DELETE, KIND_SET
+from tests.conftest import assert_golden_rows
 
 SMALL = SchemeScale(
     zone_size=256 * KIB,
@@ -435,8 +436,7 @@ class TestSpanReconciliation:
 class TestFailoverSmokeGolden:
     def test_smoke_deterministic_and_shaped(self):
         rows_a = run_failover_smoke()
-        rows_b = run_failover_smoke()
-        assert rows_a == rows_b
+        assert_golden_rows("failover_smoke", rows_a)
         assert len(rows_a) == 2
         r1, r2 = rows_a
         assert (r1["replicas"], r2["replicas"]) == (1, 2)

@@ -39,6 +39,7 @@ from repro.serve import (
 from repro.sim import SimClock
 from repro.units import KIB, SEC
 from repro.workloads import CacheBenchConfig, CacheBenchDriver
+from tests.conftest import assert_golden_rows
 
 
 SMALL = SchemeScale(
@@ -571,8 +572,7 @@ class TestClosedLoopParity:
 class TestServingExperimentGolden:
     def test_smoke_golden(self):
         rows_a = run_serving_smoke()
-        rows_b = run_serving_smoke()
-        assert rows_a == rows_b
+        assert_golden_rows("serve_smoke", rows_a)
         tenants = [row["tenant"] for row in rows_a if "tenant" in row]
         assert tenants == ["web", "batch"]
         assert all(row["cluster_shed_rate"] > 0 for row in rows_a[:2])
@@ -582,8 +582,6 @@ class TestServingExperimentGolden:
     def test_sweep_golden(self):
         kwargs = dict(offered_kops=(40.0, 360.0), requests_per_tenant=700)
         rows_a = run_serving_sweep(**kwargs)
-        rows_b = run_serving_sweep(**kwargs)
-        assert rows_a == rows_b
         schemes = {row["scheme"] for row in rows_a}
         assert schemes == {
             "Region-Cache", "Zone-Cache", "File-Cache", "Block-Cache"

@@ -39,6 +39,7 @@ from repro.sim import SimClock
 from repro.sim.io import IoTracer
 from repro.units import KIB
 from repro.workloads.cachebench import CacheBenchConfig, CacheBenchDriver
+from tests.conftest import assert_golden_rows
 
 PAGE = 4 * KIB
 
@@ -648,6 +649,7 @@ def test_zone_cost_smoke_shape_and_knee_ordering():
     from repro.bench.experiments import run_zone_cost_smoke
 
     rows = run_zone_cost_smoke()
+    assert_golden_rows("zone-cost_smoke", rows)
     assert len(rows) == 4
     cell = {(r["scheme"], r["cost_preset"]): r for r in rows}
     for (scheme, preset), row in cell.items():
