@@ -27,6 +27,7 @@ from repro.bench.experiments import (
     run_table2_cache_sizes,
 )
 from repro.bench.reporting import format_table, rows_to_csv
+from repro.bench.scenario import Scenario, run_scenario
 
 __all__ = [
     "SchemeScale",
@@ -47,4 +48,6 @@ __all__ = [
     "run_table2_cache_sizes",
     "format_table",
     "rows_to_csv",
+    "Scenario",
+    "run_scenario",
 ]

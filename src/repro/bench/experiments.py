@@ -4,13 +4,27 @@ Each function builds the relevant scheme stacks on matched hardware,
 drives the paper's workload, and returns structured rows.  Absolute
 numbers differ from the paper's testbed (this is a simulator — see
 DESIGN.md); the *shape* of each result is the reproduction target and is
-asserted by ``tests/test_bench_experiments.py``.
+asserted by ``tests/test_bench.py``.  The open-loop serving sweeps are
+named grids over :class:`~repro.bench.scenario.Scenario`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
+from repro.bench.scenario import (
+    ZONE_CACHE_OVERRIDES,
+    Scenario,
+    _gc_columns,
+    _serving_scale,
+    _zone_mgmt_columns,
+    run_grid,
+    run_scenario,
+    scenario_columns,
+)
+# Re-exported: callers build the serving mix as experiments._serving_tenants.
+from repro.bench.scenario import _serving_tenants  # noqa: F401
 from repro.bench.schemes import (
     ALL_SCHEME_NAMES,
     SCHEME_NAMES,
@@ -96,81 +110,6 @@ def _device_columns(stack: SchemeStack) -> Dict[str, object]:
     }
     cols.update(_zone_mgmt_columns([device]))
     return cols
-
-
-def _zone_mgmt_columns(devices) -> Dict[str, object]:
-    """Zone-management service-time columns — the ``zns_*`` family.
-
-    Summed over every device that exposes a
-    :class:`~repro.flash.zone.ZoneMgmtStats` (conventional SSDs have no
-    zones and contribute zeros), so the same helper serves single-stack
-    rows and fleet rows.  The ``*_us`` columns are the service time the
-    zone commands were charged through the I/O pipeline, which is why
-    they reconcile exactly with the tracer's OPEN/CLOSE/FINISH/RESET
-    span attribution (asserted in ``tests/test_zone_lifecycle.py``).
-    """
-    open_ns = close_ns = finish_ns = reset_ns = forced = 0
-    for device in devices:
-        mgmt = getattr(device, "zone_mgmt", None)
-        if mgmt is None:
-            continue
-        open_ns += mgmt.open_ns
-        close_ns += mgmt.close_ns
-        finish_ns += mgmt.finish_ns
-        reset_ns += mgmt.reset_ns
-        forced += mgmt.forced_closes
-    return {
-        "zns_open_us": open_ns / 1000,
-        "zns_close_us": close_ns / 1000,
-        "zns_finish_us": finish_ns / 1000,
-        "zns_reset_us": reset_ns / 1000,
-        "zns_forced_close": forced,
-    }
-
-
-def _reclaim_engine(stack: SchemeStack):
-    """``(layer_name, engine)`` for the scheme's reclamation engine.
-
-    Zone-Cache returns ``("none", None)``: it has no device-side
-    reclamation — the paper's premise — so its gc_* columns are zeros.
-    """
-    return stack.reclaim_engine()
-
-
-def _gc_columns(stack: SchemeStack) -> Dict[str, object]:
-    """Uniform reclamation columns — the ``gc_*`` family (EXPERIMENTS.md).
-
-    Read off the scheme's :class:`~repro.reclaim.ReclaimEngine` whichever
-    layer owns it, plus the cache's own region-eviction stats.  Always
-    present so mixed-scheme tables stay rectangular.
-    """
-    layer_name, engine = _reclaim_engine(stack)
-    stats = engine.stats if engine is not None else None
-    pacer = engine.pacer if engine is not None else None
-    cache_stats = stack.cache.regions.reclaim_stats
-    return {
-        "gc_layer": layer_name,
-        "gc_policy": engine.policy.name if engine is not None else "none",
-        "gc_victims": stats.victims_reclaimed if stats is not None else 0,
-        "gc_migrated_units": stats.units_migrated if stats is not None else 0,
-        "gc_dropped_units": stats.units_dropped if stats is not None else 0,
-        "gc_hint_dropped_units": (
-            stats.hint_dropped_units if stats is not None else 0
-        ),
-        "gc_copied_bytes": stats.copied_bytes if stats is not None else 0,
-        "gc_triggers": stats.triggers if stats is not None else 0,
-        "gc_stall_us_p99": stats.stall_us_p99 if stats is not None else 0.0,
-        "gc_cache_evictions": cache_stats.victims_reclaimed,
-        "gc_cache_dropped_keys": cache_stats.units_dropped,
-        # Copy-budget and adaptive-pacing telemetry (zeros when static).
-        "gc_throttled_steps": pacer.throttled_steps if pacer is not None else 0,
-        "gc_copy_throttle_events": (
-            pacer.copy_throttle_events if pacer is not None else 0
-        ),
-        "gc_pace_adjustments": pacer.pace_adjustments if pacer is not None else 0,
-        "gc_pace_clamps": pacer.pace_clamps if pacer is not None else 0,
-        "gc_pace_units_end": pacer.pace_units if pacer is not None else 0,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -507,212 +446,6 @@ def run_fault_sweep(
     return rows
 
 
-# --------------------------------------------------------------------------
-# Serving sweep — open-loop multi-tenant load against a sharded fleet
-# --------------------------------------------------------------------------
-
-def _serving_tenants(
-    total_rate: float,
-    requests_per_tenant: int,
-    num_keys: int,
-    seed: int,
-    rate_limit_batch: bool = True,
-    web_arrival: str = "poisson",
-) -> "List[object]":
-    """The sweep's two-tenant mix: a steady interactive tenant and a
-    bursty batch tenant, splitting the offered load 70/30.
-
-    The batch tenant carries a token bucket at 1.5x its mean rate, so
-    its 4x bursts are clipped by rate limiting *before* they reach the
-    shard queues — per-tenant QoS isolating the interactive tenant.
-    ``web_arrival`` switches the interactive tenant's arrival process
-    (the failover sweep kills shards mid-*diurnal* load); the default
-    keeps every pre-existing sweep byte-identical.
-    """
-    from repro.serve import TenantConfig
-
-    web_rate = 0.7 * total_rate
-    batch_rate = 0.3 * total_rate
-    tenants = [
-        TenantConfig(
-            "web",
-            rate_ops_per_sec=web_rate,
-            arrival=web_arrival,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=num_keys,
-                zipf_theta=1.0,
-                set_on_miss=True,
-                seed=seed,
-            ),
-            slo_p99_ms=2.0,
-            seed=seed + 100,
-        ),
-        TenantConfig(
-            "batch",
-            rate_ops_per_sec=batch_rate,
-            arrival="burst",
-            burst_factor=4.0,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=max(1, num_keys // 2),
-                get_ratio=0.30,
-                set_ratio=0.60,
-                delete_ratio=0.10,
-                seed=seed + 1,
-            ),
-            slo_p99_ms=10.0,
-            rate_limit_ops_per_sec=1.5 * batch_rate if rate_limit_batch else 0.0,
-            rate_limit_burst=32.0,
-            seed=seed + 200,
-        ),
-    ]
-    return tenants
-
-
-def _serving_scale() -> SchemeScale:
-    """Reduced hardware for serving runs: small zones/regions so a few
-    thousand requests reach eviction/GC steady state on every scheme
-    (at full scale Zone-Cache's 4 MiB region buffer would absorb the
-    whole run in RAM and never touch the device)."""
-    from repro.units import KIB
-
-    return SchemeScale(
-        zone_size=256 * KIB,
-        region_size=16 * KIB,
-        pages_per_block=16,
-        ram_bytes=32 * KIB,
-    )
-
-
-def run_serving_sweep(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 8,
-    file_zones_per_shard: int = 16,
-    num_shards: int = 3,
-    offered_kops: tuple = (40.0, 120.0, 360.0),
-    requests_per_tenant: int = 4_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 48,
-    admission: str = "admit-all",
-    schemes: tuple = SCHEME_NAMES,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
-    """Offered load vs p99 / shed rate for each scheme (EXPERIMENTS.md).
-
-    For every scheme and offered load, a homogeneous ``num_shards``
-    cluster serves two open-loop tenants (70% steady interactive + 30%
-    bursty batch).  Below the saturation knee all schemes complete
-    everything; past it the bounded queues shed instead of letting p99
-    grow without bound — the shed-rate and p99 columns together locate
-    each scheme's knee.  Rows are per (scheme, load, tenant) and are
-    byte-identical for the same seed (the serving golden test).
-    """
-    from repro.cache.admission import AdmissionConfig
-    from repro.serve import CacheCluster, Server, ServerConfig
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        # Working set just above one shard fleet's capacity, as Fig 2 does.
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
-        )
-        if admission != "admit-all":
-            overrides["admission"] = AdmissionConfig(policy=admission, seed=seed)
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        shard_file = file_media if name == "File-Cache" else None
-        for load_kops in offered_kops:
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                file_media_bytes=shard_file,
-                scale=scale,
-                cache_overrides=tuple(sorted(overrides.items())),
-                cache_stacks=True,
-            )
-            tenants = _serving_tenants(
-                load_kops * 1000, requests_per_tenant, num_keys, seed
-            )
-            report = Server(
-                cluster, tenants, ServerConfig(max_queue_depth=max_queue_depth)
-            ).run()
-            shard_rows = report.shard_rows
-            for tenant_row in report.tenant_rows:
-                row: Dict[str, object] = {
-                    "scheme": name,
-                    "offered_total_kops": load_kops,
-                    "num_shards": num_shards,
-                }
-                row.update(tenant_row)
-                row.update(
-                    {
-                        "cluster_shed_rate": report.shed_rate,
-                        "cluster_util_max": max(r["util"] for r in shard_rows),
-                        "cluster_served": sum(r["served"] for r in shard_rows),
-                        "cluster_waf_app_max": max(
-                            r["waf_app"] for r in shard_rows
-                        ),
-                        "cluster_waf_device_max": max(
-                            r["waf_device"] for r in shard_rows
-                        ),
-                        "admission": admission,
-                    }
-                )
-                rows.append(row)
-    return rows
-
-
-def run_serving_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro serve --smoke`: a mixed two-shard cluster (Region-Cache +
-    Zone-Cache on matched NAND), two tenants, ~2k requests — small
-    enough for a CI step, still exercising routing, QoS and shedding."""
-    from repro.serve import CacheCluster, Server, ServerConfig, ShardSpec
-
-    scale = _serving_scale()
-    media = 12 * scale.zone_size
-    specs = [
-        ShardSpec(
-            "Region-Cache",
-            media_bytes=media,
-            cache_bytes=9 * scale.zone_size,
-            cache_overrides=(("eviction_policy", "fifo"), ("reclaim_window", 32)),
-        ),
-        ShardSpec(
-            "Zone-Cache",
-            media_bytes=media,
-            cache_overrides=(("eviction_policy", "fifo"),),
-        ),
-    ]
-    cluster = CacheCluster(specs, scale=scale)
-    tenants = _serving_tenants(
-        total_rate=120_000.0,
-        requests_per_tenant=1_000,
-        num_keys=1_500,
-        seed=seed,
-    )
-    report = Server(cluster, tenants, ServerConfig(max_queue_depth=24)).run()
-    rows: List[Dict[str, object]] = []
-    for tenant_row in report.tenant_rows:
-        row = {"cluster": "region+zone", **tenant_row}
-        row["cluster_shed_rate"] = report.shed_rate
-        rows.append(row)
-    for shard_row in report.shard_rows:
-        shard_row = dict(shard_row)
-        shard_row["cluster"] = "region+zone"
-        rows.append(shard_row)
-    return rows
-
-
 def run_table2_cache_sizes(
     scale: Optional[SchemeScale] = None,
     cache_zone_counts: tuple = (4, 5, 6, 7, 8),
@@ -748,6 +481,153 @@ def run_table2_cache_sizes(
             }
         )
     return rows
+
+
+# --------------------------------------------------------------------------
+# Serving sweeps — named grids over repro.bench.scenario.Scenario
+# --------------------------------------------------------------------------
+
+# Column lists, in report order, projected by scenario_columns.
+SERVE_COLUMNS = (
+    "cluster_shed_rate", "cluster_util_max", "cluster_served",
+    "cluster_waf_app_max", "cluster_waf_device_max",
+)
+GC_COLUMNS = (
+    "offered_total_kops", "web_p99_us", "web_goodput_kops",
+    "cluster_shed_rate", "waf_app_max", "waf_device_max", "gc_layer",
+    "gc_victims", "gc_migrated_units", "gc_dropped_units", "gc_copied_bytes",
+    "gc_triggers", "gc_stall_us_p99", "gc_cache_evictions",
+)
+TENANT_QOS_COLUMNS = (
+    "offered_total_kops", "web_p99_us", "web_goodput_kops",
+    "web_slo_attainment", "batch_p99_us", "batch_goodput_kops",
+    "cluster_shed_rate",
+)
+GC_QOS_COLUMNS = TENANT_QOS_COLUMNS + (
+    "rerouted_writes", "rerouted_web", "rerouted_batch", "gc_layer",
+    "gc_victims", "gc_migrated_units", "gc_stall_us_p99",
+    "gc_throttled_steps", "gc_pace_adjustments", "gc_pace_clamps",
+    "gc_pace_units_end",
+)
+ZONE_COST_COLUMNS = TENANT_QOS_COLUMNS + (
+    "gc_victims", "gc_migrated_units", "gc_copied_bytes", "gc_stall_us_p99",
+    "zns_open_us", "zns_close_us", "zns_finish_us", "zns_reset_us",
+    "zns_forced_close",
+)
+FAILOVER_COLUMNS = (
+    ("num_shards", "offered_total_kops", "kill_at_ms", "outage_ms")
+    + TENANT_QOS_COLUMNS[1:]
+    + ("fleet_*",)
+)
+STORM_GC_COLUMNS = (
+    "waf_app_max", "waf_device_max", "gc_copied_bytes", "gc_migrated_units",
+    "gc_dropped_units",
+)
+INVALIDATION_COLUMNS = (
+    "num_shards", "offered_total_kops", "bump_at_ms", "purge_bump_at_ms",
+    "web_p99_us", "web_goodput_kops", "web_hit_ratio", "purge_p99_us",
+    "purge_goodput_kops", "cluster_shed_rate",
+) + STORM_GC_COLUMNS + ("gc_victims", "inval_*")
+HINT_COLUMNS = (
+    "gc_layer", "num_shards", "web_hit_ratio", "web_p99_us",
+    "web_goodput_kops", "purge_p99_us", "cluster_shed_rate",
+) + STORM_GC_COLUMNS + (
+    "gc_hint_dropped_units", "gc_hint_drop_spans", "gc_victims",
+)
+
+
+def run_serving_sweep(
+    scale: Optional[SchemeScale] = None,
+    zones_per_shard: int = 10,
+    cache_zones_per_shard: int = 8,
+    file_zones_per_shard: int = 16,
+    num_shards: int = 3,
+    offered_kops: tuple = (40.0, 120.0, 360.0),
+    requests_per_tenant: int = 4_000,
+    num_keys: Optional[int] = None,
+    max_queue_depth: int = 48,
+    admission: str = "admit-all",
+    schemes: tuple = SCHEME_NAMES,
+    seed: int = 7,
+) -> List[Dict[str, object]]:
+    """Offered load vs p99 / shed rate for each scheme (EXPERIMENTS.md).
+
+    For every scheme and offered load, a homogeneous ``num_shards``
+    cluster serves two open-loop tenants (70% steady interactive + 30%
+    bursty batch).  Below the saturation knee all schemes complete
+    everything; past it the bounded queues shed instead of letting p99
+    grow without bound — the shed-rate and p99 columns together locate
+    each scheme's knee.  Rows are per (scheme, load, tenant) and are
+    byte-identical for the same seed (the serving golden test).
+    """
+    from repro.cache.admission import AdmissionConfig
+
+    admit = ()
+    if admission != "admit-all":
+        admit = (("admission", AdmissionConfig(policy=admission, seed=seed)),)
+    base = Scenario(
+        num_shards=num_shards, scale=scale, zones_per_shard=zones_per_shard,
+        cache_zones_per_shard=cache_zones_per_shard,
+        file_zones_per_shard=file_zones_per_shard, cache_overrides=admit,
+        requests_per_tenant=requests_per_tenant, num_keys=num_keys,
+        max_queue_depth=max_queue_depth, seed=seed,
+    )
+    rows: List[Dict[str, object]] = []
+    for name in schemes:
+        for load_kops in offered_kops:
+            spec = replace(base, scheme=name, offered_kops=load_kops)
+            run = run_scenario(spec)
+            cols = scenario_columns(spec, run)
+            fleet_cols = {col: cols[col] for col in SERVE_COLUMNS}
+            for tenant_row in run.report.tenant_rows:
+                rows.append({
+                    "scheme": name,
+                    "offered_total_kops": load_kops,
+                    "num_shards": num_shards,
+                    **tenant_row,
+                    **fleet_cols,
+                    "admission": admission,
+                })
+    return rows
+
+
+def run_serving_smoke(seed: int = 7) -> List[Dict[str, object]]:
+    """`repro serve --smoke`: a mixed two-shard cluster (Region-Cache +
+    Zone-Cache on matched NAND), two tenants, ~2k requests — small
+    enough for a CI step, still exercising routing, QoS and shedding."""
+    from repro.serve import ShardSpec
+
+    scale = _serving_scale()
+    media = 12 * scale.zone_size
+    fleet = (
+        ShardSpec(
+            "Region-Cache",
+            media_bytes=media,
+            cache_bytes=9 * scale.zone_size,
+            cache_overrides=(("eviction_policy", "fifo"), ("reclaim_window", 32)),
+        ),
+        ShardSpec(
+            "Zone-Cache",
+            media_bytes=media,
+            cache_overrides=ZONE_CACHE_OVERRIDES,
+        ),
+    )
+    report = run_scenario(
+        Scenario(
+            fleet=fleet,
+            scale=scale,
+            offered_kops=120.0,
+            requests_per_tenant=1_000,
+            num_keys=1_500,
+            max_queue_depth=24,
+            seed=seed,
+        )
+    ).report
+    shed_rate = report.shed_rate
+    return [
+        {"cluster": "region+zone", **row, "cluster_shed_rate": shed_rate}
+        for row in report.tenant_rows
+    ] + [{**row, "cluster": "region+zone"} for row in report.shard_rows]
 
 
 # --------------------------------------------------------------------------
@@ -803,35 +683,6 @@ def _gc_reclaim_overrides(
     return ()
 
 
-def _traced_reclaim(tracer) -> Dict[str, int]:
-    """Count reclaim spans and the device bytes they attribute.
-
-    ``reclaim_traced_bytes`` sums device-level transfer records whose
-    ancestry passes through a ``reclaim.*`` span — the check that every
-    migrated byte is tracer-attributed to the GC engine that moved it.
-    """
-    by_id = {record.record_id: record for record in tracer.records}
-    spans = 0
-    traced = 0
-    for record in tracer.records:
-        if record.layer.startswith("reclaim."):
-            spans += 1
-            continue
-        if record.op not in ("write", "append", "gc"):
-            continue
-        cursor = record
-        while cursor is not None:
-            if cursor.layer.startswith("reclaim."):
-                traced += record.length
-                break
-            cursor = (
-                by_id.get(cursor.parent_id)
-                if cursor.parent_id is not None
-                else None
-            )
-    return {"reclaim_spans": spans, "reclaim_traced_bytes": traced}
-
-
 def run_gc_ablation(
     scale: Optional[SchemeScale] = None,
     zones_per_shard: int = 10,
@@ -859,18 +710,17 @@ def run_gc_ablation(
     foreground.  Zone-Cache contributes a single "none" row (it has no
     reclamation to sweep) and Block-Cache skips the pace axis (its FTL
     drains synchronously inside the write path, so background pacing is
-    a no-op there).
+    a no-op there).  With ``trace`` on, every device command is captured
+    and the ``reclaim_*`` columns attribute migrated bytes to spans.
     """
-    from repro.serve import CacheCluster, Server, ServerConfig
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    rows: List[Dict[str, object]] = []
+    base = Scenario(
+        num_shards=num_shards, scale=scale, zones_per_shard=zones_per_shard,
+        cache_zones_per_shard=cache_zones_per_shard,
+        file_zones_per_shard=file_zones_per_shard, offered_kops=offered_kops,
+        requests_per_tenant=requests_per_tenant, num_keys=num_keys,
+        max_queue_depth=max_queue_depth, seed=seed, trace_devices=trace,
+    )
+    cells = []
     for name in schemes:
         if name == "Zone-Cache":
             combos = [("none", 0, 0)]
@@ -883,68 +733,23 @@ def run_gc_ablation(
                 for w in watermark_scales
                 for pace in paces
             ]
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
-        )
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        shard_file = file_media if name == "File-Cache" else None
         for policy, watermark_scale, pace in combos:
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                file_media_bytes=shard_file,
-                scale=scale,
-                cache_overrides=tuple(sorted(base_overrides.items()))
-                + _gc_reclaim_overrides(
-                    name, policy, watermark_scale, pace, zones_per_shard
-                ),
-                cache_stacks=True,
-            )
-            if trace:
-                for shard in cluster.shards:
-                    shard.stack.substrate["device"].tracer.enable()
-            tenants = _serving_tenants(
-                offered_kops * 1000, requests_per_tenant, num_keys, seed
-            )
-            report = Server(
-                cluster, tenants, ServerConfig(max_queue_depth=max_queue_depth)
-            ).run()
-            gc_cols = [_gc_columns(shard.stack) for shard in cluster.shards]
-            shard_rows = report.shard_rows
-            web = next(r for r in report.tenant_rows if r["tenant"] == "web")
-            row: Dict[str, object] = {
+            labels = {
                 "scheme": name,
                 "gc_policy": policy,
                 "watermark_scale": watermark_scale,
                 "pace_units": pace,
-                "offered_total_kops": offered_kops,
-                "web_p99_us": web["p99_us"],
-                "web_goodput_kops": web["goodput_kops"],
-                "cluster_shed_rate": report.shed_rate,
-                "waf_app_max": max(r["waf_app"] for r in shard_rows),
-                "waf_device_max": max(r["waf_device"] for r in shard_rows),
-                "gc_layer": gc_cols[0]["gc_layer"],
-                "gc_victims": sum(c["gc_victims"] for c in gc_cols),
-                "gc_migrated_units": sum(c["gc_migrated_units"] for c in gc_cols),
-                "gc_dropped_units": sum(c["gc_dropped_units"] for c in gc_cols),
-                "gc_copied_bytes": sum(c["gc_copied_bytes"] for c in gc_cols),
-                "gc_triggers": sum(c["gc_triggers"] for c in gc_cols),
-                "gc_stall_us_p99": max(c["gc_stall_us_p99"] for c in gc_cols),
-                "gc_cache_evictions": sum(c["gc_cache_evictions"] for c in gc_cols),
             }
-            if trace:
-                traced = {"reclaim_spans": 0, "reclaim_traced_bytes": 0}
-                for shard in cluster.shards:
-                    shard_traced = _traced_reclaim(
-                        shard.stack.substrate["device"].tracer
-                    )
-                    for key in traced:
-                        traced[key] += shard_traced[key]
-                row.update(traced)
-            rows.append(row)
-    return rows
+            overrides = _gc_reclaim_overrides(
+                name, policy, watermark_scale, pace, zones_per_shard
+            )
+            cells.append(
+                (labels, replace(base, scheme=name, reclaim_overrides=overrides))
+            )
+    columns = GC_COLUMNS
+    if trace:
+        columns += ("reclaim_spans", "reclaim_traced_bytes")
+    return run_grid(cells, columns)
 
 
 def run_gc_smoke(seed: int = 7) -> List[Dict[str, object]]:
@@ -979,7 +784,7 @@ def _gc_qos_overrides(name: str) -> tuple:
     from repro.flash.ftl import FtlConfig
     from repro.ztl.gc import GcConfig
 
-    if name == "Region-Cache":
+    if name in ("Region-Cache", "Z-Cache"):
         # The background band (urgent < free < min_empty) must be wide
         # enough that paced steps actually run there; with background and
         # urgent adjacent every GC step lands in the unbounded urgent
@@ -991,19 +796,11 @@ def _gc_qos_overrides(name: str) -> tuple:
             victim_valid_threshold=0.90,
             pace_regions=8,
         )
-        return (("gc", gc),)
-    if name == "Z-Cache":
-        # Same watermarks as Region-Cache so the comparison isolates the
-        # hot/cold separation, but victims are scored cold-first: finish
-        # (and decay) cold zones instead of copying hot ones.
-        gc = GcConfig(
-            min_empty_zones=4,
-            urgent_empty_zones=2,
-            emergency_empty_zones=1,
-            victim_valid_threshold=0.90,
-            pace_regions=8,
-            policy="cold_defer",
-        )
+        if name == "Z-Cache":
+            # Same watermarks as Region-Cache so the comparison isolates
+            # the hot/cold separation, but victims are scored cold-first:
+            # finish (and decay) cold zones instead of copying hot ones.
+            gc = replace(gc, policy="cold_defer")
         return (("gc", gc),)
     if name == "File-Cache":
         cleaner = CleanerConfig(
@@ -1024,6 +821,15 @@ def _gc_qos_overrides(name: str) -> tuple:
         )
         return (("ftl", ftl),)
     return ()
+
+
+def _adaptive_pacing(stall_slo_ms: float, adjust_interval_steps: int):
+    from repro.reclaim import AdaptivePacingConfig
+
+    return AdaptivePacingConfig(
+        stall_slo_ns=int(stall_slo_ms * 1e6),
+        interval_steps=adjust_interval_steps,
+    )
 
 
 def run_gc_qos_sweep(
@@ -1056,101 +862,34 @@ def run_gc_qos_sweep(
     rerouting and reclaim telemetry, so the ablation reads directly:
     which half of the loop buys the p99/goodput at the overload knee.
     """
-    from repro.reclaim import AdaptivePacingConfig
-    from repro.serve import CacheCluster, RoutingConfig, Server, ServerConfig
+    from repro.serve import RoutingConfig
 
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    adaptive = AdaptivePacingConfig(
-        stall_slo_ns=int(stall_slo_ms * 1e6),
-        interval_steps=adjust_interval_steps,
+    adaptive = _adaptive_pacing(stall_slo_ms, adjust_interval_steps)
+    base = Scenario(
+        num_shards=num_shards, scale=scale, zones_per_shard=zones_per_shard,
+        cache_zones_per_shard=cache_zones_per_shard,
+        file_zones_per_shard=file_zones_per_shard,
+        requests_per_tenant=requests_per_tenant, num_keys=num_keys,
+        max_queue_depth=max_queue_depth, seed=seed,
     )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
+    cells = [
+        (
+            {"scheme": name, "pacing": pacing, "routing": routing},
+            replace(
+                base,
+                scheme=name,
+                reclaim_overrides=_gc_qos_overrides(name),
+                routing=RoutingConfig(policy=routing),
+                adaptive_pacing=adaptive if pacing == "adaptive" else None,
+                offered_kops=load_kops,
+            ),
         )
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        shard_file = file_media if name == "File-Cache" else None
-        for load_kops in offered_kops:
-            for pacing in pacing_modes:
-                for routing in routing_modes:
-                    cluster = CacheCluster.homogeneous(
-                        name,
-                        num_shards,
-                        media,
-                        shard_cache,
-                        file_media_bytes=shard_file,
-                        scale=scale,
-                        cache_overrides=tuple(sorted(base_overrides.items()))
-                        + _gc_qos_overrides(name),
-                        routing=RoutingConfig(policy=routing),
-                        cache_stacks=True,
-                    )
-                    if pacing == "adaptive":
-                        for shard in cluster.shards:
-                            shard.stack.enable_adaptive_pacing(adaptive)
-                    tenants = _serving_tenants(
-                        load_kops * 1000, requests_per_tenant, num_keys, seed
-                    )
-                    report = Server(
-                        cluster,
-                        tenants,
-                        ServerConfig(max_queue_depth=max_queue_depth),
-                    ).run()
-                    gc_cols = [
-                        _gc_columns(shard.stack) for shard in cluster.shards
-                    ]
-                    shard_rows = report.shard_rows
-                    web = next(
-                        r for r in report.tenant_rows if r["tenant"] == "web"
-                    )
-                    batch = next(
-                        r for r in report.tenant_rows if r["tenant"] == "batch"
-                    )
-                    rows.append({
-                        "scheme": name,
-                        "pacing": pacing,
-                        "routing": routing,
-                        "offered_total_kops": load_kops,
-                        "web_p99_us": web["p99_us"],
-                        "web_goodput_kops": web["goodput_kops"],
-                        "web_slo_attainment": web["slo_attainment"],
-                        "batch_p99_us": batch["p99_us"],
-                        "batch_goodput_kops": batch["goodput_kops"],
-                        "cluster_shed_rate": report.shed_rate,
-                        "rerouted_writes": sum(
-                            r["rerouted_out"] for r in shard_rows
-                        ),
-                        "rerouted_web": web["rerouted"],
-                        "rerouted_batch": batch["rerouted"],
-                        "gc_layer": gc_cols[0]["gc_layer"],
-                        "gc_victims": sum(c["gc_victims"] for c in gc_cols),
-                        "gc_migrated_units": sum(
-                            c["gc_migrated_units"] for c in gc_cols
-                        ),
-                        "gc_stall_us_p99": max(
-                            c["gc_stall_us_p99"] for c in gc_cols
-                        ),
-                        "gc_throttled_steps": sum(
-                            c["gc_throttled_steps"] for c in gc_cols
-                        ),
-                        "gc_pace_adjustments": sum(
-                            c["gc_pace_adjustments"] for c in gc_cols
-                        ),
-                        "gc_pace_clamps": sum(
-                            c["gc_pace_clamps"] for c in gc_cols
-                        ),
-                        "gc_pace_units_end": max(
-                            c["gc_pace_units_end"] for c in gc_cols
-                        ),
-                    })
-    return rows
+        for name in schemes
+        for load_kops in offered_kops
+        for pacing in pacing_modes
+        for routing in routing_modes
+    ]
+    return run_grid(cells, GC_QOS_COLUMNS)
 
 
 def run_gc_qos_smoke(seed: int = 7) -> List[Dict[str, object]]:
@@ -1200,88 +939,42 @@ def run_zone_cost_ablation(
     gc-qos knee; read web_p99_us down the preset column.
     """
     from repro.flash.zone import ZoneCostConfig
-    from repro.reclaim import AdaptivePacingConfig
-    from repro.serve import CacheCluster, RoutingConfig, Server, ServerConfig
+    from repro.serve import RoutingConfig
 
     presets: Dict[str, "ZoneCostConfig"] = {
         "zero": ZoneCostConfig(),
         "measured": ZoneCostConfig.measured(),
     }
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    adaptive = AdaptivePacingConfig(
-        stall_slo_ns=int(stall_slo_ms * 1e6),
-        interval_steps=adjust_interval_steps,
+    adaptive = _adaptive_pacing(stall_slo_ms, adjust_interval_steps)
+    base = Scenario(
+        num_shards=num_shards, scale=scale, zones_per_shard=zones_per_shard,
+        cache_zones_per_shard=cache_zones_per_shard,
+        routing=RoutingConfig(policy=routing),
+        adaptive_pacing=adaptive if pacing == "adaptive" else None,
+        requests_per_tenant=requests_per_tenant, num_keys=num_keys,
+        max_queue_depth=max_queue_depth, seed=seed,
     )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        for preset in cost_presets:
-            costs = presets[preset]
-            for load_kops in offered_kops:
-                cluster = CacheCluster.homogeneous(
-                    name,
-                    num_shards,
-                    media,
-                    cache_bytes,
-                    scale=scale,
-                    cache_overrides=tuple(sorted(navy.items()))
-                    + _gc_qos_overrides(name)
-                    + (("zone_costs", costs),),
-                    routing=RoutingConfig(policy=routing),
-                    cache_stacks=True,
-                )
-                if pacing == "adaptive":
-                    for shard in cluster.shards:
-                        shard.stack.enable_adaptive_pacing(adaptive)
-                tenants = _serving_tenants(
-                    load_kops * 1000, requests_per_tenant, num_keys, seed
-                )
-                report = Server(
-                    cluster,
-                    tenants,
-                    ServerConfig(max_queue_depth=max_queue_depth),
-                ).run()
-                gc_cols = [_gc_columns(shard.stack) for shard in cluster.shards]
-                web = next(
-                    r for r in report.tenant_rows if r["tenant"] == "web"
-                )
-                batch = next(
-                    r for r in report.tenant_rows if r["tenant"] == "batch"
-                )
-                row: Dict[str, object] = {
-                    "scheme": name,
-                    "cost_preset": preset,
-                    "pacing": pacing,
-                    "routing": routing,
-                    "offered_total_kops": load_kops,
-                    "web_p99_us": web["p99_us"],
-                    "web_goodput_kops": web["goodput_kops"],
-                    "web_slo_attainment": web["slo_attainment"],
-                    "batch_p99_us": batch["p99_us"],
-                    "batch_goodput_kops": batch["goodput_kops"],
-                    "cluster_shed_rate": report.shed_rate,
-                    "gc_victims": sum(c["gc_victims"] for c in gc_cols),
-                    "gc_migrated_units": sum(
-                        c["gc_migrated_units"] for c in gc_cols
-                    ),
-                    "gc_copied_bytes": sum(
-                        c["gc_copied_bytes"] for c in gc_cols
-                    ),
-                    "gc_stall_us_p99": max(
-                        c["gc_stall_us_p99"] for c in gc_cols
-                    ),
-                }
-                row.update(_zone_mgmt_columns([
-                    shard.stack.substrate.get("device")
-                    for shard in cluster.shards
-                    if shard.stack.substrate.get("device") is not None
-                ]))
-                rows.append(row)
-    return rows
+    cells = [
+        (
+            {
+                "scheme": name,
+                "cost_preset": preset,
+                "pacing": pacing,
+                "routing": routing,
+            },
+            replace(
+                base,
+                scheme=name,
+                cache_overrides=(("zone_costs", presets[preset]),),
+                reclaim_overrides=_gc_qos_overrides(name),
+                offered_kops=load_kops,
+            ),
+        )
+        for name in schemes
+        for preset in cost_presets
+        for load_kops in offered_kops
+    ]
+    return run_grid(cells, ZONE_COST_COLUMNS)
 
 
 def run_zone_cost_smoke(seed: int = 7) -> List[Dict[str, object]]:
@@ -1349,85 +1042,30 @@ def run_failover_sweep(
     routing stays off — it is incompatible with replica placement,
     which must follow the ring.)
     """
-    from repro.serve import (
-        CacheCluster,
-        FailoverPlan,
-        ReplicationConfig,
-        Server,
-        ServerConfig,
-        ShardKill,
-    )
+    from repro.serve import ReplicationConfig
 
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    # Open-loop duration estimate: the web tenant (70% of load) offers
-    # requests_per_tenant ops at 0.7*rate; the kill and outage are
-    # placed as fractions of that horizon so the storm always lands
-    # mid-run regardless of the load point.
-    duration_ns = int(requests_per_tenant / (0.7 * offered_kops * 1000) * 1e9)
-    kill_at_ns = int(kill_at_frac * duration_ns)
-    outage_ns = int(outage_frac * duration_ns)
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
+    base = Scenario(
+        num_shards=num_shards, scale=scale, zones_per_shard=zones_per_shard,
+        cache_zones_per_shard=cache_zones_per_shard, offered_kops=offered_kops,
+        requests_per_tenant=requests_per_tenant, num_keys=num_keys,
+        max_queue_depth=max_queue_depth, web_arrival="diurnal", seed=seed,
+        kill_shard=kill_shard, kill_at_frac=kill_at_frac,
+        outage_frac=outage_frac,
+    )
+    cells = [
+        (
+            {"scheme": name, "replicas": r},
+            replace(
+                base,
+                scheme=name,
+                reclaim_overrides=_gc_qos_overrides(name),
+                replication=ReplicationConfig(replicas=r, hint_limit=hint_limit),
+            ),
         )
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        for r in replicas:
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                scale=scale,
-                cache_overrides=tuple(sorted(base_overrides.items()))
-                + _gc_qos_overrides(name),
-                cache_stacks=True,
-                replication=ReplicationConfig(
-                    replicas=r, hint_limit=hint_limit
-                ),
-            )
-            tenants = _serving_tenants(
-                offered_kops * 1000,
-                requests_per_tenant,
-                num_keys,
-                seed,
-                web_arrival="diurnal",
-            )
-            report = Server(
-                cluster,
-                tenants,
-                ServerConfig(max_queue_depth=max_queue_depth),
-                failover=FailoverPlan(
-                    (ShardKill(kill_at_ns, kill_shard, outage_ns),)
-                ),
-            ).run()
-            web = next(t for t in report.tenant_rows if t["tenant"] == "web")
-            batch = next(
-                t for t in report.tenant_rows if t["tenant"] == "batch"
-            )
-            row: Dict[str, object] = {
-                "scheme": name,
-                "replicas": r,
-                "num_shards": num_shards,
-                "offered_total_kops": offered_kops,
-                "kill_at_ms": kill_at_ns / 1e6,
-                "outage_ms": outage_ns / 1e6,
-                "web_p99_us": web["p99_us"],
-                "web_goodput_kops": web["goodput_kops"],
-                "web_slo_attainment": web["slo_attainment"],
-                "batch_p99_us": batch["p99_us"],
-                "batch_goodput_kops": batch["goodput_kops"],
-                "cluster_shed_rate": report.shed_rate,
-            }
-            fleet = report.fleet_row or {}
-            row.update({f"fleet_{k}": v for k, v in fleet.items()})
-            rows.append(row)
-    return rows
+        for name in schemes
+        for r in replicas
+    ]
+    return run_grid(cells, FAILOVER_COLUMNS)
 
 
 def run_failover_smoke(seed: int = 7) -> List[Dict[str, object]]:
@@ -1461,94 +1099,19 @@ def _invalidation_gc_overrides(name: str) -> tuple:
     """
     from repro.ztl.gc import GcConfig
 
-    if name == "Region-Cache":
-        return (
-            (
-                "gc",
-                GcConfig(
-                    min_empty_zones=3,
-                    urgent_empty_zones=2,
-                    emergency_empty_zones=1,
-                    victim_valid_threshold=0.20,
-                    pace_regions=8,
-                    dead_first=True,
-                ),
-            ),
+    if name in ("Region-Cache", "Z-Cache"):
+        gc = GcConfig(
+            min_empty_zones=3,
+            urgent_empty_zones=2,
+            emergency_empty_zones=1,
+            victim_valid_threshold=0.20,
+            pace_regions=8,
+            dead_first=True,
         )
-    if name == "Z-Cache":
-        return (
-            (
-                "gc",
-                GcConfig(
-                    min_empty_zones=3,
-                    urgent_empty_zones=2,
-                    emergency_empty_zones=1,
-                    victim_valid_threshold=0.20,
-                    pace_regions=8,
-                    policy="cold_defer",
-                    dead_first=True,
-                ),
-            ),
-        )
+        if name == "Z-Cache":
+            gc = replace(gc, policy="cold_defer")
+        return (("gc", gc),)
     return _gc_qos_overrides(name)
-
-
-def _invalidation_tenants(
-    total_rate: float,
-    requests_per_tenant: int,
-    num_keys: int,
-    seed: int,
-    bump_at_s: float,
-    storm_at_s: float,
-    storm_duration_s: float,
-) -> "List[object]":
-    """The storm mix: a versioned interactive tenant whose bump triggers
-    a flash crowd of refill traffic, and a versioned purge tenant that
-    tears its keyspace down in a delete storm.  70/30 load split as in
-    every other serving sweep."""
-    from repro.serve import TenantConfig
-
-    web_rate = 0.7 * total_rate
-    purge_rate = 0.3 * total_rate
-    return [
-        TenantConfig(
-            "web",
-            rate_ops_per_sec=web_rate,
-            arrival="flash_crowd",
-            flash_crowd_factor=3.0,
-            flash_crowd_at_s=bump_at_s,
-            flash_crowd_decay_s=max(storm_duration_s, 0.001),
-            versioned_keys=True,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=num_keys,
-                zipf_theta=1.0,
-                set_on_miss=True,
-                seed=seed,
-            ),
-            slo_p99_ms=2.0,
-            seed=seed + 100,
-        ),
-        TenantConfig(
-            "purge",
-            rate_ops_per_sec=purge_rate,
-            arrival="storm",
-            storm_factor=4.0,
-            storm_at_s=storm_at_s,
-            storm_duration_s=max(storm_duration_s, 0.001),
-            versioned_keys=True,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=max(1, num_keys // 2),
-                get_ratio=0.20,
-                set_ratio=0.40,
-                delete_ratio=0.40,
-                seed=seed + 1,
-            ),
-            slo_p99_ms=10.0,
-            seed=seed + 200,
-        ),
-    ]
 
 
 def run_invalidation_sweep(
@@ -1598,110 +1161,33 @@ def run_invalidation_sweep(
     counts) and the ``gc_*`` copy counters.
     """
     from repro.cache.lifecycle import LifecycleConfig
-    from repro.serve import (
-        CacheCluster,
-        InvalidationPlan,
-        Server,
-        ServerConfig,
-        TenantInvalidate,
-    )
 
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    duration_ns = int(requests_per_tenant / (0.7 * offered_kops * 1000) * 1e9)
-    bump_at_ns = int(bump_at_frac * duration_ns)
-    purge_at_ns = int(purge_bump_frac * duration_ns)
     lifecycle = LifecycleConfig(
         versioning=True, dead_first_eviction=True, gc_hints=True
     )
-    navy = {
-        "eviction_policy": "fifo",
-        "reclaim_window": 128,
-        "lifecycle": lifecycle,
-    }
-    plan = InvalidationPlan(
-        (
-            TenantInvalidate(bump_at_ns, "web"),
-            TenantInvalidate(purge_at_ns, "purge"),
-        )
+    base = Scenario(
+        num_shards=num_shards, scale=scale, zones_per_shard=zones_per_shard,
+        cache_zones_per_shard=cache_zones_per_shard,
+        file_zones_per_shard=file_zones_per_shard,
+        block_cache_whole_media=True, offered_kops=offered_kops,
+        requests_per_tenant=requests_per_tenant, num_keys=num_keys,
+        max_queue_depth=max_queue_depth, seed=seed, bump_at_frac=bump_at_frac,
+        purge_bump_frac=purge_bump_frac,
+        storm_duration_frac=storm_duration_frac,
     )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo", "lifecycle": lifecycle}
-            if name == "Zone-Cache"
-            else dict(navy)
+    cells = [
+        (
+            {"scheme": name},
+            replace(
+                base,
+                scheme=name,
+                cache_overrides=(("lifecycle", lifecycle),),
+                reclaim_overrides=_invalidation_gc_overrides(name),
+            ),
         )
-        # Cache budgets follow each scheme's OP model (§4.1): Zone-Cache
-        # caches the whole device (no OP at all), Block-Cache fills its
-        # exposed LBA space (OP is *internal*, behind the FTL — the only
-        # headroom its GC gets), and the host-side schemes reserve
-        # host-visible spare zones the ZTL/F2FS reclaim into.
-        if name == "Zone-Cache":
-            shard_cache = None
-        elif name == "Block-Cache":
-            shard_cache = media
-        else:
-            shard_cache = cache_bytes
-        cluster = CacheCluster.homogeneous(
-            name,
-            num_shards,
-            media,
-            shard_cache,
-            file_media_bytes=file_media if name == "File-Cache" else None,
-            scale=scale,
-            cache_overrides=tuple(sorted(base_overrides.items()))
-            + _invalidation_gc_overrides(name),
-            cache_stacks=True,
-        )
-        tenants = _invalidation_tenants(
-            offered_kops * 1000,
-            requests_per_tenant,
-            num_keys,
-            seed,
-            bump_at_s=bump_at_ns / 1e9,
-            storm_at_s=purge_at_ns / 1e9,
-            storm_duration_s=storm_duration_frac * duration_ns / 1e9,
-        )
-        report = Server(
-            cluster,
-            tenants,
-            ServerConfig(max_queue_depth=max_queue_depth),
-            invalidations=plan,
-        ).run()
-        web = next(t for t in report.tenant_rows if t["tenant"] == "web")
-        purge = next(t for t in report.tenant_rows if t["tenant"] == "purge")
-        shard_rows = report.shard_rows
-        engines = [
-            shard.stack.reclaim_engine()[1] for shard in cluster.shards
-        ]
-        gc_stats = [engine.stats for engine in engines if engine is not None]
-        row: Dict[str, object] = {
-            "scheme": name,
-            "num_shards": num_shards,
-            "offered_total_kops": offered_kops,
-            "bump_at_ms": bump_at_ns / 1e6,
-            "purge_bump_at_ms": purge_at_ns / 1e6,
-            "web_p99_us": web["p99_us"],
-            "web_goodput_kops": web["goodput_kops"],
-            "web_hit_ratio": web["hit_ratio"],
-            "purge_p99_us": purge["p99_us"],
-            "purge_goodput_kops": purge["goodput_kops"],
-            "cluster_shed_rate": report.shed_rate,
-            "waf_app_max": max(r["waf_app"] for r in shard_rows),
-            "waf_device_max": max(r["waf_device"] for r in shard_rows),
-            "gc_copied_bytes": sum(s.copied_bytes for s in gc_stats),
-            "gc_migrated_units": sum(s.units_migrated for s in gc_stats),
-            "gc_dropped_units": sum(s.units_dropped for s in gc_stats),
-            "gc_victims": sum(s.victims_reclaimed for s in gc_stats),
-        }
-        row.update(report.inval_row or {})
-        rows.append(row)
-    return rows
+        for name in schemes
+    ]
+    return run_grid(cells, INVALIDATION_COLUMNS)
 
 
 def run_invalidation_smoke(seed: int = 7) -> List[Dict[str, object]]:
@@ -1787,126 +1273,31 @@ def run_hint_sweep(
     ``gc_hint_drop_spans`` cell by cell — asserted in
     ``tests/test_gc_hints.py``.
     """
-    from repro.serve import (
-        CacheCluster,
-        InvalidationPlan,
-        Server,
-        ServerConfig,
-        TenantInvalidate,
+    base = Scenario(
+        num_shards=num_shards, scale=scale, zones_per_shard=zones_per_shard,
+        cache_zones_per_shard=cache_zones_per_shard,
+        file_zones_per_shard=file_zones_per_shard,
+        block_cache_whole_media=True, offered_kops=offered_kops,
+        requests_per_tenant=requests_per_tenant, num_keys=num_keys,
+        max_queue_depth=max_queue_depth, seed=seed, bump_at_frac=bump_at_frac,
+        purge_bump_frac=purge_bump_frac,
+        storm_duration_frac=storm_duration_frac,
     )
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    duration_ns = int(requests_per_tenant / (0.7 * offered_kops * 1000) * 1e9)
-    bump_at_ns = int(bump_at_frac * duration_ns)
-    purge_at_ns = int(purge_bump_frac * duration_ns)
-    plan = InvalidationPlan(
+    cells = [
         (
-            TenantInvalidate(bump_at_ns, "web"),
-            TenantInvalidate(purge_at_ns, "purge"),
+            {"scheme": name, "hints": mode},
+            replace(
+                base,
+                scheme=name,
+                cache_overrides=(("lifecycle", _hint_lifecycle(mode)),),
+                reclaim_overrides=_invalidation_gc_overrides(name),
+                count_drop_spans=mode != "off",
+            ),
         )
-    )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        for mode in modes:
-            lifecycle = _hint_lifecycle(mode)
-            base_overrides: Dict[str, object] = {
-                "eviction_policy": "fifo",
-                "reclaim_window": 128,
-                "lifecycle": lifecycle,
-            }
-            if name == "Block-Cache":
-                shard_cache = media
-            else:
-                shard_cache = cache_bytes
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                file_media_bytes=file_media if name == "File-Cache" else None,
-                scale=scale,
-                cache_overrides=tuple(sorted(base_overrides.items()))
-                + _invalidation_gc_overrides(name),
-                cache_stacks=True,
-            )
-            # Per-layer drop-span counter: subscribing streams records
-            # through the callback without capturing them, so the
-            # reconciliation costs no memory.  The FTL's engine is born
-            # on the shared NULL_TRACER; point it at the device tracer
-            # so its drop spans join the same stream.
-            drop_spans = {"count": 0}
-
-            def _count_drop(record, _drops=drop_spans):
-                if record.op == "drop" and record.layer.startswith("reclaim."):
-                    _drops["count"] += 1
-
-            gc_layer = "none"
-            for shard in cluster.shards:
-                shard_layer, engine = shard.stack.reclaim_engine()
-                if engine is None:
-                    continue
-                gc_layer = shard_layer
-                if mode != "off":
-                    # Unconditional: the FTL's engine is born on the
-                    # shared NULL_TRACER (and deep-copied stacks carry a
-                    # private copy of it), the ZTL/F2FS engines already
-                    # point here — either way the drop spans must join
-                    # the device stream the counter subscribes to.
-                    device = shard.stack.substrate["device"]
-                    engine.tracer = device.tracer
-                    device.tracer.subscribe(_count_drop)
-            tenants = _invalidation_tenants(
-                offered_kops * 1000,
-                requests_per_tenant,
-                num_keys,
-                seed,
-                bump_at_s=bump_at_ns / 1e9,
-                storm_at_s=purge_at_ns / 1e9,
-                storm_duration_s=storm_duration_frac * duration_ns / 1e9,
-            )
-            report = Server(
-                cluster,
-                tenants,
-                ServerConfig(max_queue_depth=max_queue_depth),
-                invalidations=plan,
-            ).run()
-            web = next(t for t in report.tenant_rows if t["tenant"] == "web")
-            purge = next(t for t in report.tenant_rows if t["tenant"] == "purge")
-            shard_rows = report.shard_rows
-            gc_stats = [
-                shard.stack.reclaim_engine()[1].stats
-                for shard in cluster.shards
-                if shard.stack.reclaim_engine()[1] is not None
-            ]
-            rows.append(
-                {
-                    "scheme": name,
-                    "hints": mode,
-                    "gc_layer": gc_layer,
-                    "num_shards": num_shards,
-                    "web_hit_ratio": web["hit_ratio"],
-                    "web_p99_us": web["p99_us"],
-                    "web_goodput_kops": web["goodput_kops"],
-                    "purge_p99_us": purge["p99_us"],
-                    "cluster_shed_rate": report.shed_rate,
-                    "waf_app_max": max(r["waf_app"] for r in shard_rows),
-                    "waf_device_max": max(r["waf_device"] for r in shard_rows),
-                    "gc_copied_bytes": sum(s.copied_bytes for s in gc_stats),
-                    "gc_migrated_units": sum(s.units_migrated for s in gc_stats),
-                    "gc_dropped_units": sum(s.units_dropped for s in gc_stats),
-                    "gc_hint_dropped_units": sum(
-                        s.hint_dropped_units for s in gc_stats
-                    ),
-                    "gc_hint_drop_spans": drop_spans["count"],
-                    "gc_victims": sum(s.victims_reclaimed for s in gc_stats),
-                }
-            )
-    return rows
+        for name in schemes
+        for mode in modes
+    ]
+    return run_grid(cells, HINT_COLUMNS)
 
 
 def run_hint_smoke(seed: int = 7) -> List[Dict[str, object]]:

@@ -89,7 +89,6 @@ class CacheConfig:
     reclaim_window: int = 1
     index_shards: int = 16
     read_from_buffer: bool = True
-    populate_ram_on_flash_hit: bool = True
     # Per-item CRC32 (generation-salted) appended to every on-flash
     # entry.  Off by default: the non-checksummed format is what the
     # golden benchmarks lock.  Required for crash recovery to replay a

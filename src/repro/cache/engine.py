@@ -191,8 +191,7 @@ class HybridCache:
             return None
         stats.flash_lookups.record(True)
         self.regions.touch(location.region_id)
-        if self.config.populate_ram_on_flash_hit:
-            self.ram.put(key, value)
+        self.ram.put(key, value)
         self._finish_lookup(start_ns, hit=True)
         return value
 

@@ -63,19 +63,11 @@ class RegionManager:
         return self.reclaim_stats.units_dropped
 
     @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-    @property
     def sealed_count(self) -> int:
         return len(self._sealed)
 
     def meta(self, region_id: int) -> Optional[RegionMeta]:
         return self._sealed.get(region_id)
-
-    @property
-    def quarantined_count(self) -> int:
-        return len(self._quarantined)
 
     def is_quarantined(self, region_id: int) -> bool:
         return region_id in self._quarantined
@@ -198,10 +190,6 @@ class RegionManager:
     def live_bytes(self) -> int:
         """Bytes still reachable across all sealed regions."""
         return sum(meta.live_bytes for meta in self._sealed.values())
-
-    def sealed_dead_bytes(self) -> int:
-        """Dead bytes currently parked in sealed (unreclaimed) regions."""
-        return sum(meta.dead_bytes for meta in self._sealed.values())
 
     def __repr__(self) -> str:
         return (

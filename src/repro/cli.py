@@ -14,153 +14,110 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
+from repro.bench import experiments
 from repro.bench.reporting import format_table, rows_to_csv
 
 
-def _fig2(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig2_overall
+class Experiment(NamedTuple):
+    """One CLI experiment: its function, the kwargs ``--quick`` passes
+    it, its CI-sized ``--smoke`` variant (if any) and its table title."""
 
-    return run_fig2_overall(num_ops=20_000 if quick else 60_000)
-
-
-def _fig3(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig3_insertion_time
-
-    series = run_fig3_insertion_time(num_sets=40_000 if quick else None)
-    rows: List[dict] = []
-    for label, points in series.items():
-        for point in points:
-            rows.append({"series": label, **point})
-    return rows
+    run: Callable[..., List[dict]]
+    quick: Dict[str, object]
+    smoke: Optional[Callable[[], List[dict]]]
+    title: str
 
 
-def _fig4(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig4_op_sweep
-
-    return run_fig4_op_sweep(num_ops=20_000 if quick else 60_000)
-
-
-def _table1(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_table1_waf
-
-    return run_table1_waf(num_ops=20_000 if quick else 60_000)
+def _fig3_rows(**kwargs) -> List[dict]:
+    """Figure 3's per-series fill times, flattened into rows."""
+    series = experiments.run_fig3_insertion_time(**kwargs)
+    return [
+        {"series": label, **point}
+        for label, points in series.items()
+        for point in points
+    ]
 
 
-def _fig5(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig5_rocksdb
+_DB_QUICK = {"num_keys": 40_000, "num_reads": 3_000, "warmup_reads": 6_000}
 
-    if quick:
-        return run_fig5_rocksdb(num_keys=40_000, num_reads=3_000, warmup_reads=6_000)
-    return run_fig5_rocksdb()
-
-
-def _table2(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_table2_cache_sizes
-
-    if quick:
-        return run_table2_cache_sizes(
-            num_keys=40_000, num_reads=3_000, warmup_reads=6_000
-        )
-    return run_table2_cache_sizes()
-
-
-def _serve(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_serving_sweep
-
-    if quick:
-        return run_serving_sweep(
-            offered_kops=(40.0, 240.0), requests_per_tenant=1_500
-        )
-    return run_serving_sweep()
-
-
-def _gc_sweep(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_gc_ablation
-
-    if quick:
-        return run_gc_ablation(
-            policies=("greedy", "cost_benefit"),
-            paces=(8,),
-            requests_per_tenant=6_000,
-        )
-    return run_gc_ablation()
-
-
-def _gc_qos(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_gc_qos_sweep
-
-    if quick:
-        return run_gc_qos_sweep(
-            offered_kops=(12.0,), requests_per_tenant=4_000
-        )
-    return run_gc_qos_sweep()
-
-
-def _zone_cost(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_zone_cost_ablation
-
-    if quick:
-        return run_zone_cost_ablation(requests_per_tenant=4_000)
-    return run_zone_cost_ablation()
-
-
-def _failover(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_failover_sweep
-
-    if quick:
-        return run_failover_sweep(requests_per_tenant=3_000)
-    return run_failover_sweep()
-
-
-def _invalidate(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_invalidation_sweep
-
-    if quick:
-        return run_invalidation_sweep(num_shards=2, requests_per_tenant=6_000)
-    return run_invalidation_sweep()
-
-
-def _hint_sweep(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_hint_sweep
-
-    if quick:
-        return run_hint_sweep(num_shards=2, requests_per_tenant=6_000)
-    return run_hint_sweep()
-
-
-EXPERIMENTS: Dict[str, Callable[[bool], List[dict]]] = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "table1": _table1,
-    "fig5": _fig5,
-    "table2": _table2,
-    "serve": _serve,
-    "gc-sweep": _gc_sweep,
-    "gc-qos": _gc_qos,
-    "zone-cost": _zone_cost,
-    "failover": _failover,
-    "invalidate": _invalidate,
-    "hint-sweep": _hint_sweep,
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig2": Experiment(
+        experiments.run_fig2_overall, {"num_ops": 20_000}, None,
+        "Figure 2: four schemes — throughput and hit ratio",
+    ),
+    "fig3": Experiment(
+        _fig3_rows, {"num_sets": 40_000}, None,
+        "Figure 3: region buffer fill times (large vs small regions)",
+    ),
+    "fig4": Experiment(
+        experiments.run_fig4_op_sweep, {"num_ops": 20_000}, None,
+        "Figure 4: OP-ratio sweep",
+    ),
+    "table1": Experiment(
+        experiments.run_table1_waf, {"num_ops": 20_000}, None,
+        "Table 1: WA factor vs OP ratio",
+    ),
+    "fig5": Experiment(
+        experiments.run_fig5_rocksdb, _DB_QUICK, None,
+        "Figure 5: RocksDB with each scheme as secondary cache",
+    ),
+    "table2": Experiment(
+        experiments.run_table2_cache_sizes, _DB_QUICK, None,
+        "Table 2: Zone-Cache cache-size sweep",
+    ),
+    "serve": Experiment(
+        experiments.run_serving_sweep,
+        {"offered_kops": (40.0, 240.0), "requests_per_tenant": 1_500},
+        experiments.run_serving_smoke,
+        "Serving sweep: offered load vs p99 and shed rate per scheme",
+    ),
+    "gc-sweep": Experiment(
+        experiments.run_gc_ablation,
+        {
+            "policies": ("greedy", "cost_benefit"),
+            "paces": (8,),
+            "requests_per_tenant": 6_000,
+        },
+        experiments.run_gc_smoke,
+        "GC ablation: victim policy x watermark x pacing per scheme",
+    ),
+    "gc-qos": Experiment(
+        experiments.run_gc_qos_sweep,
+        {"offered_kops": (12.0,), "requests_per_tenant": 4_000},
+        experiments.run_gc_qos_smoke,
+        "GC-QoS co-scheduling: adaptive pacing x GC-aware routing",
+    ),
+    "zone-cost": Experiment(
+        experiments.run_zone_cost_ablation,
+        {"requests_per_tenant": 4_000},
+        experiments.run_zone_cost_smoke,
+        "Zone-cost ablation: {zero, measured} costs x {Region, Z}-Cache",
+    ),
+    "failover": Experiment(
+        experiments.run_failover_sweep,
+        {"requests_per_tenant": 3_000},
+        experiments.run_failover_smoke,
+        "Failover sweep: kill a shard mid-diurnal load, R=1 vs R=2",
+    ),
+    "invalidate": Experiment(
+        experiments.run_invalidation_sweep,
+        {"num_shards": 2, "requests_per_tenant": 6_000},
+        experiments.run_invalidation_smoke,
+        "Invalidation storm: bump tenant namespaces mid-run, per scheme",
+    ),
+    "hint-sweep": Experiment(
+        experiments.run_hint_sweep,
+        {"num_shards": 2, "requests_per_tenant": 6_000},
+        experiments.run_hint_smoke,
+        "Hint ablation: cache->GC hints {off, ztl, full} per scheme",
+    ),
 }
 
-TITLES = {
-    "fig2": "Figure 2: four schemes — throughput and hit ratio",
-    "fig3": "Figure 3: region buffer fill times (large vs small regions)",
-    "fig4": "Figure 4: OP-ratio sweep",
-    "table1": "Table 1: WA factor vs OP ratio",
-    "fig5": "Figure 5: RocksDB with each scheme as secondary cache",
-    "table2": "Table 2: Zone-Cache cache-size sweep",
-    "serve": "Serving sweep: offered load vs p99 and shed rate per scheme",
-    "gc-sweep": "GC ablation: victim policy x watermark x pacing per scheme",
-    "gc-qos": "GC-QoS co-scheduling: adaptive pacing x GC-aware routing",
-    "zone-cost": "Zone-cost ablation: {zero, measured} costs x {Region, Z}-Cache",
-    "failover": "Failover sweep: kill a shard mid-diurnal load, R=1 vs R=2",
-    "invalidate": "Invalidation storm: bump tenant namespaces mid-run, per scheme",
-    "hint-sweep": "Hint ablation: cache->GC hints {off, ztl, full} per scheme",
-}
+SMOKE_HELP = "run the CI-sized variant instead (one exists for: {})".format(
+    ", ".join(name for name, exp in EXPERIMENTS.items() if exp.smoke)
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,19 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot", action="store_true",
         help="also render an ASCII chart of each result's shape",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help=(
-            "with 'serve': tiny mixed-fleet run (2 shards, 2 tenants, "
-            "~2k requests) used as the CI smoke test; with 'gc-sweep': "
-            "two policies with tracing on, verifying reclaim spans; with "
-            "'gc-qos': one scheme, all four pacing x routing combos; with "
-            "'zone-cost': both schemes x both cost presets, short stream; "
-            "with 'failover': one scheme, four shards, R in {1,2}, one kill; "
-            "with 'invalidate': all five schemes, two shards, ~4k requests; "
-            "with 'hint-sweep': the full hint ablation grid on two shards"
-        ),
-    )
+    parser.add_argument("--smoke", action="store_true", help=SMOKE_HELP)
     return parser
 
 
@@ -286,35 +231,10 @@ def _plot_for(name: str, rows: List[dict]) -> str:
 
 def _rows_for(name: str, smoke: bool, quick: bool) -> List[dict]:
     """One experiment run, honoring the smoke variants where they exist."""
-    if name == "serve" and smoke:
-        from repro.bench.experiments import run_serving_smoke
-
-        return run_serving_smoke()
-    if name == "gc-sweep" and smoke:
-        from repro.bench.experiments import run_gc_smoke
-
-        return run_gc_smoke()
-    if name == "gc-qos" and smoke:
-        from repro.bench.experiments import run_gc_qos_smoke
-
-        return run_gc_qos_smoke()
-    if name == "zone-cost" and smoke:
-        from repro.bench.experiments import run_zone_cost_smoke
-
-        return run_zone_cost_smoke()
-    if name == "failover" and smoke:
-        from repro.bench.experiments import run_failover_smoke
-
-        return run_failover_smoke()
-    if name == "invalidate" and smoke:
-        from repro.bench.experiments import run_invalidation_smoke
-
-        return run_invalidation_smoke()
-    if name == "hint-sweep" and smoke:
-        from repro.bench.experiments import run_hint_smoke
-
-        return run_hint_smoke()
-    return EXPERIMENTS[name](quick)
+    experiment = EXPERIMENTS[name]
+    if smoke and experiment.smoke is not None:
+        return experiment.smoke()
+    return experiment.run(**(experiment.quick if quick else {}))
 
 
 def _run_profile(argv: List[str]) -> int:
@@ -336,10 +256,7 @@ def _run_profile(argv: List[str]) -> int:
         choices=sorted(EXPERIMENTS),
         help="which experiment to profile",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="profile the smoke variant (serve / gc-sweep / gc-qos)",
-    )
+    parser.add_argument("--smoke", action="store_true", help=SMOKE_HELP)
     parser.add_argument(
         "--quick", action="store_true", help="smaller/faster run"
     )
@@ -382,7 +299,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         rows = _rows_for(name, args.smoke, args.quick)
         elapsed = time.time() - started
         shown = rows[: args.max_rows]
-        print(format_table(shown, title=TITLES[name]))
+        print(format_table(shown, title=EXPERIMENTS[name].title))
         if len(rows) > len(shown):
             print(f"... ({len(rows) - len(shown)} more rows)")
         if args.plot:

@@ -63,18 +63,11 @@ class LogManager:
             head.section for head in self._heads.values() if head.section is not None
         ]
 
-    def head_of(self, stream: LogStream) -> _LogHead:
-        return self._heads[stream]
-
     def is_free(self, section: int) -> bool:
         return section in self._free
 
     def is_retired(self, section: int) -> bool:
         return section in self._retired
-
-    @property
-    def retired_count(self) -> int:
-        return len(self._retired)
 
     def retire_section(self, section: int) -> None:
         """Permanently remove a dead section from circulation.

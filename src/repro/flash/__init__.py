@@ -27,7 +27,7 @@ from repro.flash.zone import Zone, ZoneState
 from repro.flash.znsssd import ZnsSsd, ZnsConfig
 from repro.flash.nullblk import NullBlkDevice
 from repro.flash.hdd import HddDevice, HddConfig
-from repro.flash.trace import IoEvent, IoTrace, TracingBlockDevice
+from repro.flash.trace import IoEvent, IoTrace
 
 __all__ = [
     "NandGeometry",
@@ -50,5 +50,4 @@ __all__ = [
     "HddConfig",
     "IoEvent",
     "IoTrace",
-    "TracingBlockDevice",
 ]

@@ -1,24 +1,19 @@
-"""I/O tracing: record every command a device services.
+"""Flat offset/length command traces and their summaries.
 
-Traces make device behaviour inspectable in tests and debuggable in
-benchmarks: the access pattern a cache scheme produces (sequential
-region writes vs scattered block updates) is exactly what the paper's
-analysis hinges on.
-
-``TracingBlockDevice`` wraps any :class:`~repro.flash.device.BlockDevice`.
-It predates the pipeline-level :class:`~repro.sim.io.IoTracer` (which
-captures cross-layer causality, not just device commands) and is kept
-for flat offset/length trace analysis — see
-``examples/io_trace_analysis.py``.
+The access pattern a cache scheme produces (sequential region writes vs
+scattered block updates) is exactly what the paper's analysis hinges
+on.  An :class:`IoTrace` is a plain list of :class:`IoEvent` records
+that a caller appends to — ``examples/io_trace_analysis.py`` records
+around a region store — with helpers for bytes per op, write
+sequentiality and CSV export.  Cross-layer causality (which engine,
+backend and device spans a command belongs to) is the pipeline-level
+:class:`~repro.sim.io.IoTracer`'s job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.flash.device import BlockDevice, DeviceStats
-from repro.sim.io import IoCompletion
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -76,45 +71,3 @@ class IoTrace:
 
     def clear(self) -> None:
         self.events.clear()
-
-
-class TracingBlockDevice(BlockDevice):
-    """Transparent tracing wrapper around any block device."""
-
-    def __init__(self, inner: BlockDevice, trace: Optional[IoTrace] = None) -> None:
-        self.inner = inner
-        self.trace = trace if trace is not None else IoTrace()
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.inner.capacity_bytes
-
-    @property
-    def block_size(self) -> int:
-        return self.inner.block_size
-
-    @property
-    def stats(self) -> DeviceStats:
-        return self.inner.stats
-
-    def _now(self) -> int:
-        clock = getattr(self.inner, "_clock", None)
-        return clock.now if clock is not None else 0
-
-    def read(self, offset: int, length: int) -> IoCompletion:
-        result = self.inner.read(offset, length)
-        self.trace.record(
-            IoEvent(self._now(), "read", offset, length, result.latency_ns)
-        )
-        return result
-
-    def write(self, offset: int, data: bytes) -> IoCompletion:
-        result = self.inner.write(offset, data)
-        self.trace.record(
-            IoEvent(self._now(), "write", offset, len(data), result.latency_ns)
-        )
-        return result
-
-    def __getattr__(self, name: str):
-        # Delegate extras (e.g. BlockSsd.discard) to the wrapped device.
-        return getattr(self.inner, name)

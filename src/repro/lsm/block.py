@@ -46,10 +46,6 @@ class DataBlockBuilder:
     def num_entries(self) -> int:
         return len(self._entries)
 
-    @property
-    def estimated_size(self) -> int:
-        return self._size
-
     def would_overflow(self, key: bytes, value: bytes) -> bool:
         return (
             self._size + _LEN.size + len(key) + len(value) > self.target_size
@@ -62,9 +58,6 @@ class DataBlockBuilder:
             raise ValueError("keys must be added in strictly ascending order")
         self._entries.append((key, value))
         self._size += _LEN.size + len(key) + len(value)
-
-    def first_key(self) -> Optional[bytes]:
-        return self._entries[0][0] if self._entries else None
 
     def finish(self) -> bytes:
         """Serialize; the builder resets for the next block."""

@@ -10,7 +10,7 @@ flash cache (µs), or HDD (ms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import DbClosedError
 from repro.flash.device import BlockDevice
@@ -269,9 +269,6 @@ class Db:
         if self._open:
             self.flush_memtable()
             self._open = False
-
-    def level_stats(self) -> Dict[str, int]:
-        return self.version.stats()
 
     def _check_open(self) -> None:
         if not self._open:

@@ -7,7 +7,7 @@ non-overlapping runs searched by binary search on the smallest keys.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.lsm.sstable import SSTable
 
@@ -65,8 +65,3 @@ class Version:
 
     def table_count(self) -> int:
         return sum(len(level) for level in self.levels)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            f"L{i}_tables": len(level) for i, level in enumerate(self.levels)
-        }

@@ -78,7 +78,6 @@ class ReplicationConfig:
     """
 
     replicas: int = 1
-    read_repair: bool = True
     # Bounded hint journal per shard (entries).  Overflow drops the
     # oldest hint (counted) — a production handoff queue is finite too.
     hint_limit: int = 4096
@@ -317,9 +316,6 @@ class FleetStats:
         if gets == 0:
             return 0.0
         return self._hits[phase] / gets
-
-    def total_failed(self) -> int:
-        return sum(self.failed.values())
 
     def recovery_ms(self) -> float:
         if self.first_kill_ns is None or self.recovered_at_ns is None:

@@ -853,17 +853,12 @@ class Server:
         (weaker) repair hint.
         """
         cluster = self.cluster
-        repl = cluster.replication
         replicas = cluster.replica_set(key)
         primary = replicas[0]
         fleet = self._fleet
         if kind_int == KIND_GET:
             if hit:
-                if (
-                    shard is not primary
-                    and repl.read_repair
-                    and primary.health == HEALTH_DOWN
-                ):
+                if shard is not primary and primary.health == HEALTH_DOWN:
                     if primary.hint_journal.append_repair(KIND_SET, key, value):
                         fleet.read_repairs += 1
                 return

@@ -47,10 +47,10 @@ class CacheBenchConfig:
     warmup_ops: int = 0
     set_on_miss: bool = False
     # Deletes model invalidations of *stale* content: they sample
-    # uniformly from the cold fraction of the popularity ranking rather
-    # than by popularity (popularity-weighted deletes would cap the hit
-    # ratio at sets/(sets+deletes) = 0.6, far below the paper's 94%).
-    delete_uniform: bool = True
+    # uniformly from the cold ``delete_cold_fraction`` of the popularity
+    # ranking rather than by popularity (popularity-weighted deletes
+    # would cap the hit ratio at sets/(sets+deletes) = 0.6, far below
+    # the paper's 94%).
     delete_cold_fraction: float = 0.3
     seed: int = 7
 
@@ -212,17 +212,11 @@ class CacheBenchDriver:
             return CacheOp("get", self._keys.sample())
         if draw < config.get_ratio + config.set_ratio:
             return CacheOp("set", self._keys.sample())
-        if config.delete_uniform:
-            first_cold_rank = int(
-                config.num_keys * (1.0 - config.delete_cold_fraction)
-            )
-            rank = first_cold_rank + self._delete_keys.sample() % max(
-                1, config.num_keys - first_cold_rank
-            )
-            key_index = self._keys.key_of_rank(rank)
-        else:
-            key_index = self._keys.sample()
-        return CacheOp("delete", key_index)
+        first_cold_rank = int(config.num_keys * (1.0 - config.delete_cold_fraction))
+        rank = first_cold_rank + self._delete_keys.sample() % max(
+            1, config.num_keys - first_cold_rank
+        )
+        return CacheOp("delete", self._keys.key_of_rank(rank))
 
     def next_ops(self, n: int) -> Tuple[List[int], List[int]]:
         """Pre-draw ``n`` ops, bit-identical to ``n`` :meth:`next_op` calls.
@@ -241,10 +235,6 @@ class CacheBenchDriver:
             KIND_GET if u < get_t else (KIND_SET if u < set_t else KIND_DELETE)
             for u in us
         ]
-        if not config.delete_uniform:
-            # Every op (deletes included) draws from the Zipf stream in
-            # op order, so one bulk draw covers the whole batch.
-            return kinds, self._keys.sample_many(n)
         num_deletes = kinds.count(KIND_DELETE)
         zipf_keys = self._keys.sample_many(n - num_deletes)
         if num_deletes == 0:

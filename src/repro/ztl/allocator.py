@@ -113,16 +113,9 @@ class ZoneBook:
     def host_open_zones(self) -> List[int]:
         return [z for pool in self._host_open for z in pool]
 
-    def host_open_zones_in(self, group: int) -> List[int]:
-        return list(self._host_open[group])
-
     @property
     def finished_zones(self) -> List[int]:
         return list(self._finished)
-
-    @property
-    def gc_zone(self) -> Optional[int]:
-        return self._gc_open
 
     @property
     def dead_count(self) -> int:

@@ -300,9 +300,6 @@ class ZoneGarbageCollector:
 
     # --- policy -------------------------------------------------------------------
 
-    def needs_collection(self) -> bool:
-        return self.engine.needs_reclaim()
-
     def pick_victim(self) -> Optional[int]:
         """Finished zone the policy scores cheapest, if worth taking.
 

@@ -11,7 +11,6 @@ from repro.flash import (
     IoTrace,
     NandGeometry,
     NullBlkDevice,
-    TracingBlockDevice,
     ZnsConfig,
     ZnsSsd,
 )
@@ -22,54 +21,38 @@ PAGE = 4 * KIB
 
 
 class TestIoTrace:
-    def make_traced(self):
-        clock = SimClock()
-        device = TracingBlockDevice(NullBlkDevice(clock, capacity_bytes=1 * MIB))
-        return device, clock
+    @staticmethod
+    def trace_of(*events):
+        trace = IoTrace()
+        for op, offset, length in events:
+            trace.record(IoEvent(0, op, offset, length, 10))
+        return trace
 
     def test_records_reads_and_writes(self):
-        device, _ = self.make_traced()
-        device.write(0, b"x" * PAGE)
-        device.read(0, PAGE)
-        assert len(device.trace) == 2
-        assert device.trace.events[0].op == "write"
-        assert device.trace.events[1].op == "read"
-
-    def test_timestamps_increase(self):
-        device, _ = self.make_traced()
-        device.write(0, b"x" * PAGE)
-        device.write(PAGE, b"x" * PAGE)
-        t0, t1 = (e.timestamp_ns for e in device.trace.events)
-        assert t1 > t0
+        trace = self.trace_of(("write", 0, PAGE), ("read", 0, PAGE))
+        assert len(trace) == 2
+        assert [e.op for e in trace.events] == ["write", "read"]
+        assert trace.by_op("read") == [IoEvent(0, "read", 0, PAGE, 10)]
 
     def test_bytes_by_op(self):
-        device, _ = self.make_traced()
-        device.write(0, b"x" * PAGE)
-        device.write(PAGE, b"x" * PAGE)
-        device.read(0, PAGE)
-        assert device.trace.bytes_by_op() == {"write": 2 * PAGE, "read": PAGE}
+        trace = self.trace_of(
+            ("write", 0, PAGE), ("write", PAGE, PAGE), ("read", 0, PAGE)
+        )
+        assert trace.bytes_by_op() == {"write": 2 * PAGE, "read": PAGE}
 
     def test_sequential_fraction(self):
-        device, _ = self.make_traced()
-        for i in range(4):
-            device.write(i * PAGE, b"x" * PAGE)  # fully sequential
-        assert device.trace.sequential_fraction("write") == 1.0
-        device.write(32 * PAGE, b"x" * PAGE)  # one jump
-        assert device.trace.sequential_fraction("write") == pytest.approx(3 / 4)
+        trace = self.trace_of(*(("write", i * PAGE, PAGE) for i in range(4)))
+        assert trace.sequential_fraction("write") == 1.0
+        trace.record(IoEvent(0, "write", 32 * PAGE, PAGE, 10))  # one jump
+        assert trace.sequential_fraction("write") == pytest.approx(3 / 4)
+        assert self.trace_of(("write", 0, PAGE)).sequential_fraction() == 1.0
 
     def test_csv_output(self):
-        device, _ = self.make_traced()
-        device.write(0, b"x" * PAGE)
-        csv = device.trace.to_csv()
-        assert csv.splitlines()[0] == "timestamp_ns,op,offset,length,latency_ns"
-        assert len(csv.splitlines()) == 2
-
-    def test_delegates_device_properties(self):
-        device, _ = self.make_traced()
-        assert device.capacity_bytes == 1 * MIB
-        assert device.block_size == PAGE
-        device.write(0, b"x" * PAGE)
-        assert device.stats.host_write_bytes == PAGE
+        csv = self.trace_of(("write", 0, PAGE)).to_csv()
+        assert csv.splitlines() == [
+            "timestamp_ns,op,offset,length,latency_ns",
+            f"0,write,0,{PAGE},10",
+        ]
 
     def test_clear(self):
         trace = IoTrace()
