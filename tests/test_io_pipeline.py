@@ -40,6 +40,7 @@ from repro.sim import (
     SimClock,
 )
 from repro.units import KIB, MIB
+from tests.conftest import assert_golden_rows
 
 
 class TestPoolConfig:
@@ -337,51 +338,9 @@ class TestGoldenSeed:
     @pytest.mark.slow
     def test_fig2_golden(self):
         rows = run_fig2_overall(zones=12, cache_zones=9, file_zones=18, num_ops=4000)
-        expected = {
-            "Block-Cache": dict(
-                cache_mib=36.0,
-                get_p99_us=83.453,
-                hit_ratio=0.8438775510204082,
-                set_p99_us=1796.701,
-                throughput_mops_per_min=1.6520145648141498,
-                waf_app=1.0,
-                waf_device=1.640625,
-            ),
-            "File-Cache": dict(
-                cache_mib=36.0,
-                get_p99_us=127.453,
-                hit_ratio=0.8438775510204082,
-                set_p99_us=2663.977,
-                throughput_mops_per_min=1.6990825723549836,
-                waf_app=1.078125,
-                waf_device=1.0,
-            ),
-            "Region-Cache": dict(
-                cache_mib=36.0,
-                get_p99_us=11150.904,
-                hit_ratio=0.8438775510204082,
-                set_p99_us=1732.821,
-                throughput_mops_per_min=0.4709803702141237,
-                waf_app=8.805555555555555,
-                waf_device=1.0,
-            ),
-            "Zone-Cache": dict(
-                cache_mib=48.0,
-                get_p99_us=75.453,
-                hit_ratio=0.8811224489795918,
-                set_p99_us=1.36,
-                throughput_mops_per_min=0.926339694528708,
-                waf_app=1.0,
-                waf_device=1.0,
-            ),
-        }
-        assert len(rows) == len(expected)
+        # Every column of every row, exactly (tests/goldens/fig2_small.json).
+        assert_golden_rows("fig2_small", rows)
         for row in rows:
-            want = expected[row["scheme"]]
-            for key, value in want.items():
-                assert row[key] == pytest.approx(value, rel=1e-9), (
-                    f"{row['scheme']}.{key}"
-                )
             # The new per-device report columns ride along on every row.
             assert row["io_channels"] == 1
             assert row["io_queue_depth"] == 1
@@ -502,10 +461,9 @@ class TestFaultGolden:
             file_zones=20,
             schemes=("Region-Cache", "Block-Cache"),
         )
-        first = run_fault_sweep(**kwargs)
-        second = run_fault_sweep(**kwargs)
-        assert first == second
-        for row in first:
+        rows = run_fault_sweep(**kwargs)
+        assert_golden_rows("fault_sweep_small", rows)
+        for row in rows:
             assert row["faults_injected"] > 0, row["scheme"]
             assert row["recovery_ms"] == 0.0  # no crash in this sweep
 
