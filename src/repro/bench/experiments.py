@@ -42,10 +42,7 @@ from repro.workloads.cachebench import CacheBenchConfig, CacheBenchDriver
 
 def _populate(driver: CacheBenchDriver, stack: SchemeStack) -> None:
     """CacheBench-style population phase: one set per key (not measured)."""
-    for key_index in range(driver.config.num_keys):
-        key = driver.key_bytes(key_index)
-        value = driver.value_bytes(key_index, driver._sizes.sample())
-        stack.cache.set(key, value)
+    driver.populate(stack.cache)
 
 
 def _run_mix(

@@ -1,6 +1,6 @@
 """The hybrid cache engine (CacheLib stand-in).
 
-``HybridCache`` composes the DRAM tier, the sharded index, the region
+``HybridCache`` composes the DRAM tier, the index, the region
 manager and a scheme backend into the get/set/delete API the paper's
 workloads drive.  The data path mirrors CacheLib's log-structured
 engine:
@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.cache.admission import AdmissionPolicy, build_admission
 from repro.cache.backends.base import RegionStore, WafBreakdown
 from repro.cache.config import CacheConfig
-from repro.cache.index import ShardedIndex
 from repro.cache.item import EntryCodec, EntryLocation
 from repro.cache.lifecycle import ItemLifecycle, tenant_token
 from repro.cache.ram_cache import RamCache
@@ -87,6 +86,7 @@ class HybridCache:
         self._set_ns = config.cpu.set_per_item_ns
         self._delete_ns = config.cpu.delete_ns
         self._copy_ns_per_kib = config.cpu.buffer_copy_ns_per_kib
+        self._region_size = config.region_size
         self._entry_overhead = EntryCodec.entry_size(
             b"", b"", checksum=config.checksums
         )
@@ -94,7 +94,10 @@ class HybridCache:
             admission if admission is not None else build_admission(config.admission)
         )
         self.ram = RamCache(config.ram_bytes)
-        self.index = ShardedIndex(config.index_shards)
+        # key → flash location; one plain dict (CacheLib shards its index
+        # for lock contention, which the simulator charges per evicted item
+        # through ``cpu.eviction_teardown_ns`` instead).
+        self.index: Dict[bytes, EntryLocation] = {}
         # The reclaim window may not exceed an eighth of the region pool:
         # wider windows randomize reuse order enough that zone-level
         # garbage never concentrates and backend GC degenerates.
@@ -220,10 +223,9 @@ class HybridCache:
         stats = self.stats
         stats.sets += 1
         entry_size = self._entry_overhead + len(key) + len(value)
-        if entry_size > self.config.region_size:
+        if entry_size > self._region_size:
             raise ObjectTooLargeError(
-                f"entry of {entry_size}B exceeds region size "
-                f"{self.config.region_size}"
+                f"entry of {entry_size}B exceeds region size {self._region_size}"
             )
         expiry_ns = 0
         if ttl_seconds is not None:
@@ -244,7 +246,9 @@ class HybridCache:
             buffer = self._buffer
         clock.now += self._copy_ns_per_kib * (entry_size // 1024)
         location = buffer.append(key, value, expiry_ns)
-        old = self.index.put(key, location)
+        index = self.index
+        old = index.get(key)
+        index[key] = location
         if old is not None and old.region_id != buffer.region_id:
             self.regions.note_key_removed(old.region_id, key, "overwritten")
         elif old is not None:
@@ -269,7 +273,7 @@ class HybridCache:
         if self._expiry:
             self.lifecycle.clear_ttl(key)
         in_ram = self.ram.remove(key)
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "deleted")
         recorder = stats.delete_latency
@@ -366,7 +370,7 @@ class HybridCache:
         for key in list(meta.keys):
             location = self.index.get(key)
             if location is not None and location.region_id == region_id:
-                self.index.remove(key)
+                del self.index[key]
                 self.stats.dropped_items += 1
             if self._versioning and not ns.is_current(key):
                 reason = "invalidated"
@@ -401,10 +405,7 @@ class HybridCache:
                     "salt": meta.salt,
                 }
             )
-        index = {}
-        for key in self.index.keys():
-            location = self.index.get(key)
-            index[key] = (location.region_id, location.offset, location.length)
+        index = {key: tuple(location) for key, location in self.index.items()}
         return {
             "config": {
                 "region_size": self.config.region_size,
@@ -472,7 +473,7 @@ class HybridCache:
         cache._open_keys = set()
         cache._open_sizes = {}
         for key, (region_id, offset, length) in state["index"].items():
-            cache.index.put(key, EntryLocation(region_id, offset, length))
+            cache.index[key] = EntryLocation(region_id, offset, length)
             meta = cache.regions.meta(region_id)
             if meta is not None and key in meta.keys:
                 meta.entry_bytes[key] = length
@@ -520,7 +521,7 @@ class HybridCache:
             effective_window,
             dead_first=config.lifecycle.dead_first_eviction,
         )
-        cache.index = ShardedIndex(config.index_shards)
+        cache.index = {}
         cache.seal_journal = []
         cache._journal_seq = 0
         # Journal entries arrive in seq order; the last event per region
@@ -568,7 +569,7 @@ class HybridCache:
                     cache.regions.note_key_removed(
                         previous_rid, entry.key, "overwritten"
                     )
-                cache.index.put(entry.key, EntryLocation(rid, offset, length))
+                cache.index[entry.key] = EntryLocation(rid, offset, length)
                 key_region[entry.key] = rid
                 keys.add(entry.key)
                 sizes[entry.key] = length
@@ -728,10 +729,7 @@ class HybridCache:
         for key in self._open_keys:
             location = self.index.get(key)
             if location is not None and location.region_id == dead_region_id:
-                self.index.put(
-                    key,
-                    EntryLocation(new_region_id, location.offset, location.length),
-                )
+                self.index[key] = location._replace(region_id=new_region_id)
         self.store.tracer.emit_event(
             "engine.fault", "reroute_flush", offset=new_region_id
         )
@@ -746,7 +744,7 @@ class HybridCache:
             for key in list(meta.keys):
                 location = self.index.get(key)
                 if location is not None and location.region_id == region_id:
-                    self.index.remove(key)
+                    del self.index[key]
                     self.stats.dropped_items += 1
         self.regions.quarantine(region_id)
         self.stats.quarantined_regions += 1
@@ -764,7 +762,7 @@ class HybridCache:
         for key in list(meta.keys):
             location = self.index.get(key)
             if location is not None and location.region_id == region_id:
-                self.index.remove(key)
+                del self.index[key]
                 self.stats.dropped_items += 1
             reason = (
                 "invalidated"
@@ -784,7 +782,7 @@ class HybridCache:
         for key in evicted:
             location = self.index.get(key)
             if location is not None and location.region_id == region_id:
-                self.index.remove(key)
+                del self.index[key]
                 if ns is not None and not ns.is_current(key):
                     # Dead-generation bytes discovered at eviction: the
                     # bump never scanned, so this is where they are
@@ -825,7 +823,7 @@ class HybridCache:
         if entry.key != key:
             # Stale index entry (should not happen; counted defensively).
             self.stats.stale_index_reads += 1
-            self.index.remove(key)
+            self.index.pop(key, None)
             return None
         if entry.is_expired(self._clock.now):
             self.stats.expired_reads += 1
@@ -888,7 +886,7 @@ class HybridCache:
     def _purge_expired(self, key: bytes) -> None:
         self.lifecycle.clear_ttl(key)
         self.ram.remove(key)
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "expired")
 
@@ -896,13 +894,13 @@ class HybridCache:
         """Purge a key whose namespace generation was bumped past."""
         self.lifecycle.clear_ttl(key)
         self.ram.remove(key)
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "invalidated")
 
     def _drop_flash_copy(self, key: bytes) -> None:
         """An unadmitted overwrite supersedes any flash copy."""
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "overwritten")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import abc
 import enum
 from collections import OrderedDict
+from itertools import islice
 from typing import List, Optional
 
 
@@ -43,6 +44,11 @@ class RegionEvictionPolicy(abc.ABC):
         restore candidates it examined but did not choose)."""
         self.track(region_id)
 
+    def peek(self, n: int) -> Optional[List[int]]:
+        """The next ``n`` victims in order, without side effects; None
+        when ``pick_victim`` itself mutates state (CLOCK strips bits)."""
+        return None
+
     def order(self) -> "List[int]":
         """Region ids in eviction order (next victim first).
 
@@ -54,11 +60,33 @@ class RegionEvictionPolicy(abc.ABC):
     def __len__(self) -> int: ...
 
 
-class LruRegionPolicy(RegionEvictionPolicy):
-    """Least-recently-used region is evicted; hits refresh recency."""
+class _HeadOrderPolicy(RegionEvictionPolicy):
+    """An OrderedDict whose head is always the next victim (LRU, FIFO)."""
 
     def __init__(self) -> None:
         self._order: "OrderedDict[int, None]" = OrderedDict()
+
+    def untrack(self, region_id: int) -> None:
+        self._order.pop(region_id, None)
+
+    def pick_victim(self) -> Optional[int]:
+        if not self._order:
+            return None
+        return next(iter(self._order))
+
+    def track_front(self, region_id: int) -> None:
+        self._order[region_id] = None
+        self._order.move_to_end(region_id, last=False)
+
+    def peek(self, n: int) -> List[int]:
+        return list(islice(self._order, n))
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
+class LruRegionPolicy(_HeadOrderPolicy):
+    """Least-recently-used region is evicted; hits refresh recency."""
 
     def track(self, region_id: int) -> None:
         self._order[region_id] = None
@@ -68,48 +96,15 @@ class LruRegionPolicy(RegionEvictionPolicy):
         if region_id in self._order:
             self._order.move_to_end(region_id)
 
-    def untrack(self, region_id: int) -> None:
-        self._order.pop(region_id, None)
 
-    def pick_victim(self) -> Optional[int]:
-        if not self._order:
-            return None
-        return next(iter(self._order))
-
-    def track_front(self, region_id: int) -> None:
-        self._order[region_id] = None
-        self._order.move_to_end(region_id, last=False)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class FifoRegionPolicy(RegionEvictionPolicy):
+class FifoRegionPolicy(_HeadOrderPolicy):
     """Oldest-sealed region is evicted; hits do not refresh."""
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
 
     def track(self, region_id: int) -> None:
         self._order[region_id] = None
 
     def touch(self, region_id: int) -> None:
         pass  # FIFO ignores accesses
-
-    def untrack(self, region_id: int) -> None:
-        self._order.pop(region_id, None)
-
-    def pick_victim(self) -> Optional[int]:
-        if not self._order:
-            return None
-        return next(iter(self._order))
-
-    def track_front(self, region_id: int) -> None:
-        self._order[region_id] = None
-        self._order.move_to_end(region_id, last=False)
-
-    def __len__(self) -> int:
-        return len(self._order)
 
 
 class ClockRegionPolicy(RegionEvictionPolicy):

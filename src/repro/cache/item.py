@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.errors import EntryCorruptError
 
@@ -31,17 +30,20 @@ _CRC = struct.Struct("<I")
 _CHECKSUM_FLAG = 0x8000_0000
 
 
-@dataclass(frozen=True)
-class EntryLocation:
-    """Where an entry lives on flash."""
+class EntryLocation(NamedTuple):
+    """Where an entry lives on flash.
+
+    A NamedTuple rather than a frozen dataclass: one is built per set,
+    and a tuple allocates in one step where a frozen dataclass sets each
+    field through ``object.__setattr__``.
+    """
 
     region_id: int
     offset: int
     length: int
 
 
-@dataclass(frozen=True)
-class DecodedEntry:
+class DecodedEntry(NamedTuple):
     """One decoded cache entry."""
 
     key: bytes

@@ -40,13 +40,14 @@ class RamCache:
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Insert/replace; silently skips items larger than the whole tier."""
-        size = len(key) + len(value)
-        if size > self.capacity_bytes:
-            return
+        """Insert/replace; an item larger than the whole tier is not
+        cached, but it still supersedes (drops) any older copy."""
         old = self._items.pop(key, None)
         if old is not None:
             self._used -= len(key) + len(old)
+        size = len(key) + len(value)
+        if size > self.capacity_bytes:
+            return
         self._items[key] = value
         self._used += size
         while self._used > self.capacity_bytes:

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.cache.item import EntryCodec, EntryLocation
+from repro.cache.item import _HEADER, EntryCodec, EntryLocation
+
+_HEADER_SIZE = _HEADER.size
 
 
 class RegionBuffer:
@@ -52,18 +54,34 @@ class RegionBuffer:
         return entry_bytes <= self.remaining
 
     def append(self, key: bytes, value: bytes, expiry_ns: int = 0) -> EntryLocation:
-        """Pack an entry; returns its location within this (open) region."""
-        blob = EntryCodec.encode(
-            key, value, expiry_ns, checksum=self.checksums, salt=self.salt
-        )
-        if len(blob) > self.remaining:
-            raise ValueError(
-                f"entry of {len(blob)}B does not fit ({self.remaining}B left)"
-            )
+        """Pack an entry; returns its location within this (open) region.
+
+        The plain format is packed straight into the buffer; the
+        checksummed one goes through :meth:`EntryCodec.encode`.
+        """
         offset = self._used
-        self._buffer[offset : offset + len(blob)] = blob
-        self._used += len(blob)
-        return EntryLocation(self.region_id, offset, len(blob))
+        if self.checksums:
+            blob = EntryCodec.encode(
+                key, value, expiry_ns, checksum=True, salt=self.salt
+            )
+            end = offset + len(blob)
+        else:
+            blob = None
+            end = offset + _HEADER_SIZE + len(key) + len(value)
+        if end > self.capacity:
+            raise ValueError(
+                f"entry of {end - offset}B does not fit ({self.remaining}B left)"
+            )
+        buffer = self._buffer
+        if blob is not None:
+            buffer[offset:end] = blob
+        else:
+            _HEADER.pack_into(buffer, offset, len(key), len(value), expiry_ns)
+            value_at = end - len(value)
+            buffer[offset + _HEADER_SIZE : value_at] = key
+            buffer[value_at:end] = value
+        self._used = end
+        return EntryLocation(self.region_id, offset, end - offset)
 
     def read(self, offset: int, length: int) -> bytes:
         """Serve a read from the open buffer (CacheLib's read-from-buffer)."""

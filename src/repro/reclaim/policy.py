@@ -15,7 +15,7 @@ first-candidate tie-breaking, which reproduces the historical per-layer
 from __future__ import annotations
 
 import abc
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.reclaim.config import ensure_at_least, ensure_choice
 from repro.sim.rng import make_rng
@@ -183,28 +183,37 @@ def windowed_draw(order_policy, window: int, population: int, rng) -> Optional[i
     This is navy's clean-region pool: instead of strictly reclaiming the
     eviction-order head, the victim is drawn (seeded) from a small
     window, leaving straggler regions behind in dying containers.  The
-    non-chosen candidates return to the head of the order in their
+    non-chosen candidates stay at the head of the order in their
     original relative order, and the chosen one is left untracked.
 
     ``order_policy`` is any object with the cache eviction-policy shape
-    (``pick_victim`` / ``untrack`` / ``track_front``); ``population``
-    bounds the window to the number of tracked entries.
+    (``pick_victim`` / ``untrack`` / ``track_front`` / ``peek``);
+    ``population`` bounds the window to the number of tracked entries.
+    A policy that can ``peek`` at its order has only the chosen id
+    untracked; one whose ``pick_victim`` has side effects (CLOCK) is
+    drained candidate by candidate and the rest are pushed back.
     """
     if window == 1:
         return order_policy.pick_victim()
-    candidates: List[int] = []
-    removed: List[int] = []
-    for _ in range(min(window, population)):
+    count = min(window, population)
+    candidates = order_policy.peek(count)
+    if candidates is not None:
+        if not candidates:
+            return None
+        chosen = candidates[rng.randrange(len(candidates))]
+        order_policy.untrack(chosen)
+        return chosen
+    candidates = []
+    for _ in range(count):
         victim = order_policy.pick_victim()
         if victim is None:
             break
         candidates.append(victim)
         order_policy.untrack(victim)
-        removed.append(victim)
     if not candidates:
         return None
     chosen = candidates[rng.randrange(len(candidates))]
-    for candidate in reversed(removed):
+    for candidate in reversed(candidates):
         if candidate != chosen:
             order_policy.track_front(candidate)
     return chosen

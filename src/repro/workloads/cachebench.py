@@ -30,6 +30,11 @@ KIND_SET = 1
 KIND_DELETE = 2
 KIND_NAMES = ("get", "set", "delete")
 
+# Ops (and population value sizes) drawn per bulk call in the closed
+# loop: large enough to amortize the numpy state hand-off, small enough
+# that the per-chunk lists stay a few hundred KiB.
+_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class CacheBenchConfig:
@@ -147,10 +152,10 @@ class CacheBenchDriver:
             config.value_sizes, config.value_weights, config.seed
         )
         self._ops_rng = make_rng(config.seed, "opmix")
-        # key/value memos: both are pure functions of their arguments and
-        # the keyspace is small and reused constantly under Zipf.
+        # Key memo: keys are pure functions of the index and the keyspace
+        # is small and reused constantly under Zipf.  Values are not
+        # memoized: a memo would pin about one media's worth of bytes.
         self._key_cache: Dict[int, bytes] = {}
-        self._value_cache: Dict[Tuple[int, int], bytes] = {}
 
     def key_bytes(self, key_index: int) -> bytes:
         """Fixed-width printable key, like CacheBench's generated keys."""
@@ -163,23 +168,41 @@ class CacheBenchDriver:
         return cached
 
     def value_bytes(self, key_index: int, size: int) -> bytes:
-        cached = self._value_cache.get((key_index, size))
-        if cached is None:
-            unit = f"v{key_index:014d}".encode()
-            reps = -(-size // len(unit))
-            cached = (unit * reps)[:size]
-            self._value_cache[(key_index, size)] = cached
-        return cached
+        unit = b"v%014d" % key_index
+        reps, tail = divmod(size, len(unit))
+        return unit * reps + unit[:tail]
+
+    def populate(self, cache: HybridCache) -> None:
+        """CacheBench-style population phase: one set per key, in key
+        order, with value sizes drawn in bulk (not measured)."""
+        num_keys = self.config.num_keys
+        key_bytes = self.key_bytes
+        value_bytes = self.value_bytes
+        cache_set = cache.set
+        for start in range(0, num_keys, _CHUNK):
+            sizes = self._sizes.sample_many(min(_CHUNK, num_keys - start))
+            for key_index, size in enumerate(sizes, start):
+                cache_set(key_bytes(key_index), value_bytes(key_index, size))
 
     def run(self, cache: HybridCache) -> WorkloadResult:
-        """Execute the mix; stats are reset after warm-up."""
-        config = self.config
-        for op_index in range(config.warmup_ops):
-            self._one_op(cache)
+        """Execute the mix; stats are reset after warm-up.
+
+        Ops come from the bulk :meth:`next_ops` stream in fixed chunks;
+        the op, key and size streams are independent generators, so the
+        chunking changes no draw.
+        """
+        self._drive(cache, self.config.warmup_ops)
         cache.reset_stats()
-        for op_index in range(config.num_ops):
-            self._one_op(cache)
+        self._drive(cache, self.config.num_ops)
         return self.summarize(cache)
+
+    def _drive(self, cache: HybridCache, count: int) -> None:
+        apply_kind = self.apply_kind
+        key_bytes = self.key_bytes
+        for start in range(0, count, _CHUNK):
+            kinds, key_indices = self.next_ops(min(_CHUNK, count - start))
+            for kind, key_index in zip(kinds, key_indices):
+                apply_kind(cache, kind, key_index, key_bytes(key_index))
 
     def summarize(self, cache: HybridCache) -> WorkloadResult:
         stats = cache.stats
@@ -334,6 +357,3 @@ class CacheBenchDriver:
             return False, written
         cache.delete(key)
         return False, None
-
-    def _one_op(self, cache: HybridCache) -> None:
-        self.apply_op(cache, self.next_op())

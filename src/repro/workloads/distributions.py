@@ -207,7 +207,28 @@ class ValueSizeSampler:
             cumulative += weight / total
             self._cdf.append(cumulative)
         self._rng = make_rng(seed, "valuesize")
+        self._cdf_array = None
+        self._size_array = None
 
     def sample(self) -> int:
         slot = bisect.bisect_left(self._cdf, self._rng.random())
         return self.sizes[min(slot, len(self.sizes) - 1)]
+
+    def sample_many(self, n: int) -> List[int]:
+        """Draw ``n`` sizes, bit-identical to ``n`` ``sample()`` calls
+        (the same inverse-CDF walk as :meth:`ZipfSampler.sample_many`)."""
+        if n <= 0:
+            return []
+        us = bulk_random(self._rng, n)
+        last = len(self.sizes) - 1
+        if _np is not None and isinstance(us, _np.ndarray):
+            if self._cdf_array is None:
+                self._cdf_array = _np.array(self._cdf, dtype=_np.float64)
+                self._size_array = _np.array(self.sizes, dtype=_np.int64)
+            slots = _np.searchsorted(self._cdf_array, us, side="left")
+            _np.minimum(slots, last, out=slots)
+            return self._size_array[slots].tolist()
+        cdf = self._cdf
+        sizes = self.sizes
+        bl = bisect.bisect_left
+        return [sizes[min(bl(cdf, u), last)] for u in us]

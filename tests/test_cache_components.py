@@ -1,4 +1,4 @@
-"""Unit tests for cache building blocks: codec, index, buffers, policies,
+"""Unit tests for cache building blocks: codec, buffers, policies,
 RAM cache, admission, config."""
 
 import pytest
@@ -8,12 +8,10 @@ from repro.cache import (
     CacheConfig,
     CpuCosts,
     EntryCodec,
-    EntryLocation,
     ProbabilisticAdmission,
     RamCache,
     RegionBuffer,
     RegionMeta,
-    ShardedIndex,
     make_eviction_policy,
 )
 from repro.cache.admission import SizeThresholdAdmission
@@ -53,36 +51,6 @@ class TestEntryCodec:
     def test_empty_value(self):
         blob = EntryCodec.encode(b"key", b"")
         assert EntryCodec.decode(blob) == (b"key", b"")
-
-
-class TestShardedIndex:
-    def test_put_get_remove(self):
-        index = ShardedIndex(4)
-        loc = EntryLocation(1, 0, 10)
-        assert index.put(b"a", loc) is None
-        assert index.get(b"a") == loc
-        assert b"a" in index
-        assert index.remove(b"a") == loc
-        assert index.get(b"a") is None
-
-    def test_put_returns_old(self):
-        index = ShardedIndex(4)
-        old = EntryLocation(1, 0, 10)
-        new = EntryLocation(2, 5, 10)
-        index.put(b"a", old)
-        assert index.put(b"a", new) == old
-        assert index.get(b"a") == new
-
-    def test_len_spans_shards(self):
-        index = ShardedIndex(4)
-        for i in range(100):
-            index.put(f"key{i}".encode(), EntryLocation(0, i, 1))
-        assert len(index) == 100
-        assert len(set(index.keys())) == 100
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            ShardedIndex(0)
 
 
 class TestRegionBuffer:
@@ -171,6 +139,11 @@ class TestRamCache:
         ram = RamCache(50)
         ram.put(b"a", b"1" * 100)
         assert ram.get(b"a") is None
+        # An oversized replacement still drops the older, smaller copy.
+        ram.put(b"b", b"1" * 10)
+        ram.put(b"b", b"2" * 100)
+        assert ram.get(b"b") is None
+        assert ram.used_bytes == 0
 
     def test_replace_updates_budget(self):
         ram = RamCache(1024)
@@ -223,7 +196,7 @@ class TestCacheConfig:
             {"num_regions": 1},
             {"ram_bytes": -1},
             {"eviction_policy": "mru"},
-            {"index_shards": 0},
+            {"reclaim_window": 0},
         ],
     )
     def test_invalid_config(self, kwargs):

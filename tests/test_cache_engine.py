@@ -89,6 +89,18 @@ class TestEngineBasics:
         assert stack.cache.contains(b"k")
         assert not stack.cache.contains(b"missing")
 
+    def test_overwrite_larger_than_ram_is_not_stale(self):
+        """A replacement too large for the DRAM tier must not leave the
+        old, smaller value in RAM to be served by the next get."""
+        scale = SchemeScale(
+            zone_size=256 * KIB, region_size=16 * KIB, pages_per_block=16,
+            ram_bytes=1 * KIB,
+        )
+        cache = build_zone_cache(SimClock(), scale, 16 * scale.zone_size).cache
+        cache.set(b"k", b"a" * 512)
+        cache.set(b"k", b"b" * 2048)
+        assert cache.get(b"k") == b"b" * 2048
+
     def test_clock_advances_on_ops(self, stack):
         before = stack.clock.now
         stack.cache.set(b"k", b"v")

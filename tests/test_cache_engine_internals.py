@@ -2,7 +2,7 @@
 key-set maintenance, region metadata coherence."""
 
 
-from repro.cache import CacheConfig, HybridCache
+from repro.cache import CacheConfig, EntryLocation, HybridCache
 from repro.cache.backends import BlockRegionStore
 from repro.flash import BlockSsd, BlockSsdConfig, FtlConfig, NandGeometry
 from repro.sim import SimClock
@@ -23,6 +23,40 @@ def make_cache(num_regions=8, ram_kib=8, read_from_buffer=True):
         read_from_buffer=read_from_buffer,
     )
     return HybridCache(clock, store, config), clock, device
+
+
+class TestIndex:
+    """``HybridCache.index`` is one plain dict: key → EntryLocation."""
+
+    def test_set_get_delete(self):
+        cache = make_cache()[0]
+        cache.set(b"a", b"v" * 10)
+        loc = cache.index[b"a"]
+        assert loc == EntryLocation(cache._buffer.region_id, 0, 16 + 1 + 10)
+        assert cache.get(b"a") == b"v" * 10
+        assert cache.delete(b"a")
+        assert b"a" not in cache.index
+        assert cache.get(b"a") is None
+
+    def test_overwrite_replaces_location(self):
+        cache = make_cache()[0]
+        cache.set(b"a", b"1" * 10)
+        old = cache.index[b"a"]
+        cache.set(b"a", b"2" * 20)
+        new = cache.index[b"a"]
+        assert new.offset == old.offset + old.length
+        assert new.length == 16 + 1 + 20
+        assert cache.get(b"a") == b"2" * 20
+
+    def test_len_counts_every_key(self):
+        cache = make_cache()[0]
+        keys = [f"key{i}".encode() for i in range(100)]
+        for key in keys:
+            cache.set(key, b"v" * 100)
+        assert cache.item_count() == len(cache.index) == 100
+        # Insertion order: the shutdown snapshot lists keys as written.
+        assert list(cache.index) == keys
+        assert list(cache.shutdown()["index"]) == keys
 
 
 class TestOpenBuffer:

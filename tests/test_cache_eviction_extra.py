@@ -1,8 +1,13 @@
 """Tests for the CLOCK policy, track_front, and windowed reclaim."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.eviction import make_eviction_policy
+from repro.reclaim import windowed_draw
 from repro.cache.region import RegionMeta
 from repro.cache.region_manager import RegionManager
 
@@ -123,3 +128,58 @@ class TestWindowedReclaim:
         victim, evicted = manager.allocate()
         assert victim == a
         assert evicted == {b"k1"}
+
+
+def _pop_and_repush_draw(order_policy, window, population, rng):
+    """The windowed draw as first written: pop up to ``window`` heads,
+    draw one, push the others back to the front in their old order."""
+    if window == 1:
+        return order_policy.pick_victim()
+    removed = []
+    for _ in range(min(window, population)):
+        victim = order_policy.pick_victim()
+        if victim is None:
+            break
+        removed.append(victim)
+        order_policy.untrack(victim)
+    if not removed:
+        return None
+    chosen = removed[rng.randrange(len(removed))]
+    for candidate in reversed(removed):
+        if candidate != chosen:
+            order_policy.track_front(candidate)
+    return chosen
+
+
+class TestWindowedDrawEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["fifo", "lru"]),
+        region_ids=st.lists(st.integers(0, 400), unique=True, max_size=60),
+        touches=st.lists(st.integers(0, 59), max_size=30),
+        window=st.integers(1, 140),
+        slack=st.integers(-5, 5),
+        draws=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_peek_matches_pop_and_repush(
+        self, kind, region_ids, touches, window, slack, draws, seed
+    ):
+        """Victim, remaining order and RNG state all match the original
+        pop/re-push algorithm, draw after draw."""
+        policies = [make_eviction_policy(kind) for _ in range(2)]
+        for policy in policies:
+            for region_id in region_ids:
+                policy.track(region_id)
+            for index in touches:
+                if region_ids:
+                    policy.touch(region_ids[index % len(region_ids)])
+        new_policy, old_policy = policies
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            population = max(0, len(new_policy) + slack)
+            got = windowed_draw(new_policy, window, population, new_rng)
+            want = _pop_and_repush_draw(old_policy, window, population, old_rng)
+            assert got == want
+            assert new_policy.order() == old_policy.order()
+            assert new_rng.getstate() == old_rng.getstate()

@@ -1,5 +1,7 @@
 """Tests for workload generators: distributions and drivers."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.schemes import SchemeScale, build_block_cache
@@ -100,6 +102,26 @@ class TestValueSizeSampler:
         samples = [sampler.sample() for _ in range(2000)]
         assert samples.count(10) > 1800
 
+    @pytest.mark.parametrize(
+        "sizes, weights, n",
+        [
+            ((512, 1024, 2048, 4096), (2.0, 4.0, 3.0, 1.0), 7),
+            ((512, 1024, 2048, 4096), (2.0, 4.0, 3.0, 1.0), 5000),
+            ((100,), (), 0),
+            ((100,), (), 5),
+            ((100,), (), 300),
+            ((10, 1000, 5000), (98.0, 1.0, 1.0), 31),
+            ((10, 1000, 5000), (98.0, 1.0, 1.0), 4096),
+        ],
+    )
+    def test_sample_many_matches_scalar_loop(self, sizes, weights, n):
+        bulk = ValueSizeSampler(sizes, weights, seed=9)
+        scalar = ValueSizeSampler(sizes, weights, seed=9)
+        assert bulk.sample_many(n) == [scalar.sample() for _ in range(n)]
+        assert bulk._rng.getstate() == scalar._rng.getstate()
+        # The stream continues in lockstep after a bulk draw.
+        assert bulk.sample() == scalar.sample()
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             ValueSizeSampler([])
@@ -158,6 +180,59 @@ class TestCacheBenchDriver:
         result = CacheBenchDriver(config).run(stack.cache)
         assert result.hit_ratio > 0.8  # tiny keyspace fully refilled
 
+    @pytest.mark.parametrize(
+        "set_on_miss, warmup_ops, num_ops",
+        [(False, 0, 8192 + 321), (True, 0, 3000), (False, 1500, 2500),
+         (True, 700, 8192 + 5)],
+    )
+    def test_run_matches_scalar_op_loop(self, set_on_miss, warmup_ops, num_ops):
+        """The chunked ``next_ops``/``apply_kind`` loop is draw-for-draw
+        the scalar ``next_op``/``apply_op`` loop."""
+        config = CacheBenchConfig(
+            num_ops=num_ops, num_keys=600, warmup_ops=warmup_ops,
+            set_on_miss=set_on_miss,
+        )
+
+        def scalar_run(driver, cache):
+            for _ in range(config.warmup_ops):
+                driver.apply_op(cache, driver.next_op())
+            cache.reset_stats()
+            for _ in range(config.num_ops):
+                driver.apply_op(cache, driver.next_op())
+            return driver.summarize(cache)
+
+        outcomes = []
+        for run in (CacheBenchDriver.run, scalar_run):
+            stack = self.make_stack()
+            driver = CacheBenchDriver(config)
+            driver.populate(stack.cache)
+            result = run(driver, stack.cache)
+            rng_states = [
+                driver._ops_rng.getstate(), driver._keys._rng.getstate(),
+                driver._delete_keys._rng.getstate(), driver._sizes._rng.getstate(),
+            ]
+            outcomes.append(
+                (result, _stats_fingerprint(stack.cache.stats), stack.clock.now,
+                 rng_states)
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_populate_matches_scalar_sets(self):
+        config = CacheBenchConfig(num_ops=1, num_keys=8192 + 77)
+        bulk_stack, scalar_stack = self.make_stack(), self.make_stack()
+        CacheBenchDriver(config).populate(bulk_stack.cache)
+        driver = CacheBenchDriver(config)
+        for key_index in range(config.num_keys):
+            scalar_stack.cache.set(
+                driver.key_bytes(key_index),
+                driver.value_bytes(key_index, driver._sizes.sample()),
+            )
+        assert bulk_stack.clock.now == scalar_stack.clock.now
+        assert _stats_fingerprint(bulk_stack.cache.stats) == _stats_fingerprint(
+            scalar_stack.cache.stats
+        )
+        assert bulk_stack.cache.index == scalar_stack.cache.index
+
     def test_key_bytes_fixed_width(self):
         driver = CacheBenchDriver(CacheBenchConfig(num_ops=1, num_keys=10))
         assert len(driver.key_bytes(3)) == driver.config.key_size
@@ -169,3 +244,16 @@ class TestCacheBenchDriver:
         assert result.ops_per_minute_m == pytest.approx(
             result.throughput_ops_per_sec * 60 / 1e6
         )
+
+
+def _stats_fingerprint(stats):
+    """Every CacheStats field as plain data (latency samples, ratios)."""
+    out = {}
+    for spec in dataclasses.fields(stats):
+        value = getattr(stats, spec.name)
+        if hasattr(value, "_samples"):
+            value = list(value._samples)
+        elif hasattr(value, "hits"):
+            value = (value.total, value.hits)
+        out[spec.name] = value
+    return out
